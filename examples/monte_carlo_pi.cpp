@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "models/stdparx/stdparx.hpp"
+#include "pstlx/pstlx.hpp"
 
 namespace {
 
@@ -29,15 +30,16 @@ double estimate_pi(const mcmm::stdparx::execution_policy& pol,
                    std::size_t samples) {
   using namespace mcmm;
   stdparx::device_vector<double> hits(pol, samples);
-  stdparx::iota(pol, hits.begin(), hits.end(), 0.0);
-  stdparx::for_each(pol, hits.begin(), hits.end(), [](double& slot) {
-    const auto i = static_cast<std::uint64_t>(slot);
-    const double x = to_unit(splitmix64(2 * i));
-    const double y = to_unit(splitmix64(2 * i + 1));
-    slot = (x * x + y * y <= 1.0) ? 1.0 : 0.0;
-  });
-  const double inside =
-      stdparx::reduce(pol, hits.begin(), hits.end(), 0.0);
+  // pSTL has no index-based loop: recover the sample index from the
+  // element address, the std::for_each(par_unseq) idiom.
+  pstlx::for_each(pol, hits.begin(), hits.end(),
+                  [base = hits.begin()](double& slot) {
+                    const auto i = static_cast<std::uint64_t>(&slot - base);
+                    const double x = to_unit(splitmix64(2 * i));
+                    const double y = to_unit(splitmix64(2 * i + 1));
+                    slot = (x * x + y * y <= 1.0) ? 1.0 : 0.0;
+                  });
+  const double inside = pstlx::reduce(pol, hits.begin(), hits.end(), 0.0);
   return 4.0 * inside / static_cast<double>(samples);
 }
 

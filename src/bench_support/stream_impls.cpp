@@ -754,35 +754,31 @@ class StdparStream final : public StreamBenchmark {
   }
 
   void init_arrays() override {
-    stdparx::fill(pol_, a_->begin(), a_->end(), kInitA);
-    stdparx::fill(pol_, b_->begin(), b_->end(), kInitB);
-    stdparx::fill(pol_, c_->begin(), c_->end(), kInitC);
+    pstlx::fill(pol_, a_->begin(), a_->end(), kInitA);
+    pstlx::fill(pol_, b_->begin(), b_->end(), kInitB);
+    pstlx::fill(pol_, c_->begin(), c_->end(), kInitC);
   }
 
   void copy() override {
     // BabelStream's copy via std::copy(par, ...).
-    stdparx::copy(pol_, a_->begin(), a_->end(), c_->begin());
+    pstlx::copy(pol_, a_->begin(), a_->end(), c_->begin());
   }
   void mul() override {
-    stdparx::transform(pol_, c_->begin(), c_->end(), b_->begin(),
-                       [](double x) { return kScalar * x; });
+    pstlx::transform(pol_, c_->begin(), c_->end(), b_->begin(),
+                     [](double x) { return kScalar * x; });
   }
   void add() override {
-    stdparx::transform(pol_, a_->begin(), a_->end(), b_->begin(),
-                       c_->begin(),
-                       [](double x, double y) { return x + y; });
+    pstlx::transform(pol_, a_->begin(), a_->end(), b_->begin(), c_->begin(),
+                     [](double x, double y) { return x + y; });
   }
   void triad() override {
-    stdparx::transform(pol_, b_->begin(), b_->end(), c_->begin(),
-                       a_->begin(),
-                       [](double x, double y) { return x + kScalar * y; });
+    pstlx::transform(pol_, b_->begin(), b_->end(), c_->begin(), a_->begin(),
+                     [](double x, double y) { return x + kScalar * y; });
   }
 
   [[nodiscard]] double dot() override {
-    // Routed through the pstlx algorithm library; same chunk
-    // decomposition, combine order, and KernelCosts as
-    // stdparx::transform_reduce, so the sum and simulated time are
-    // bitwise unchanged (asserted by the differential battery).
+    // std::transform_reduce(par, ...): the 64-chunk blocked reduce, whose
+    // fixed combine order keeps the sum bitwise reproducible.
     return pstlx::transform_reduce(pol_, a_->begin(), a_->end(),
                                    b_->begin(), 0.0);
   }
@@ -796,10 +792,10 @@ class StdparStream final : public StreamBenchmark {
   void uneven() override {
     // stdpar has no index-based loop; recover i from the element address,
     // the std::for_each(par_unseq) idiom for indexed access.
-    stdparx::for_each(pol_, c_->begin(), c_->end(),
-                      [a = a_->begin(), c = c_->begin()](double& x) {
-                        uneven_at(a, c, static_cast<std::size_t>(&x - c));
-                      });
+    pstlx::for_each(pol_, c_->begin(), c_->end(),
+                    [a = a_->begin(), c = c_->begin()](double& x) {
+                      uneven_at(a, c, static_cast<std::size_t>(&x - c));
+                    });
   }
 
   void read_arrays(std::vector<double>& a, std::vector<double>& b,

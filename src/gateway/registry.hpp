@@ -38,7 +38,6 @@ struct Replica {
 
   ReplicaEndpoint endpoint;
   CircuitBreaker breaker;
-  ConnectionPool pool;
 
   /// Requests this gateway currently has outstanding against the replica.
   std::atomic<std::uint64_t> in_flight{0};

@@ -218,44 +218,4 @@ bool ResponseParser::keep_alive() const noexcept {
   return version_minor_ >= 1;
 }
 
-// --- ConnectionPool ------------------------------------------------------
-
-int ConnectionPool::acquire() noexcept {
-  for (;;) {
-    int fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (idle_.empty()) return -1;
-      fd = idle_.back();
-      idle_.pop_back();
-    }
-    // A quiet idle connection has nothing to read; data or HUP means the
-    // replica closed (or garbled) it while pooled — drop and try the next.
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int r = ::poll(&pfd, 1, 0);
-    if (r == 0) return fd;
-    ::close(fd);
-  }
-}
-
-void ConnectionPool::release(int fd) noexcept {
-  if (fd < 0) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (idle_.size() < max_idle_) {
-      idle_.push_back(fd);
-      return;
-    }
-  }
-  ::close(fd);
-}
-
-void ConnectionPool::close_all() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const int fd : idle_) ::close(fd);
-  idle_.clear();
-}
-
 }  // namespace mcmm::gateway

@@ -1,11 +1,9 @@
 #pragma once
 // Upstream-side plumbing for the mcmm gateway: bounded-time connects, an
 // incremental HTTP/1.1 *response* parser (the mirror of serve's hardened
-// request parser, socket-free for the same testability reasons), and a
-// keep-alive connection pool per replica.
+// request parser, socket-free for the same testability reasons).
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,30 +72,6 @@ class ResponseParser {
   std::string buffer_;
   std::size_t consumed_{0};
   std::size_t content_length_{0};
-};
-
-/// Keep-alive connections to one replica. acquire() hands back a pooled fd
-/// after a zero-timeout poll proves it is still quiet (a readable or
-/// hung-up idle connection is stale — the replica died or timed us out —
-/// and is closed instead of reused); -1 means the caller should dial.
-class ConnectionPool {
- public:
-  explicit ConnectionPool(std::size_t max_idle = 16) : max_idle_(max_idle) {}
-  ~ConnectionPool() { close_all(); }
-
-  ConnectionPool(const ConnectionPool&) = delete;
-  ConnectionPool& operator=(const ConnectionPool&) = delete;
-
-  [[nodiscard]] int acquire() noexcept;
-  /// Returns a healthy keep-alive connection; closes it if the pool is
-  /// already holding max_idle.
-  void release(int fd) noexcept;
-  void close_all() noexcept;
-
- private:
-  std::mutex mu_;
-  std::vector<int> idle_;
-  std::size_t max_idle_;
 };
 
 }  // namespace mcmm::gateway

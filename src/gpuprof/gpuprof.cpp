@@ -58,8 +58,11 @@ State& state() {
 }
 
 [[nodiscard]] std::string dim3_str(const gpusim::Dim3& d) {
-  return "(" + std::to_string(d.x) + "," + std::to_string(d.y) + "," +
-         std::to_string(d.z) + ")";
+  std::string out = "(";
+  out.append(std::to_string(d.x)).append(",");
+  out.append(std::to_string(d.y)).append(",");
+  out.append(std::to_string(d.z)).append(")");
+  return out;
 }
 
 /// Opens a new event with everything known at begin time: identity,

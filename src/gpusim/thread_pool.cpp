@@ -96,9 +96,10 @@ bool ThreadPool::try_execute_from(Slot& slot) {
   if (slot.batch.load(std::memory_order_acquire) == nullptr) return false;
   // Pin the slot before re-reading the pointer: the submitter retires the
   // descriptor only once `readers` drops to zero, so a non-null pointer
-  // observed under the pin stays valid until we unpin.
-  slot.readers.fetch_add(1, std::memory_order_acq_rel);
-  Batch* batch = slot.batch.load(std::memory_order_acquire);
+  // observed under the pin stays valid until we unpin. seq_cst: this
+  // pin/re-read pairs with the retire in run_batch_parallel (Dekker).
+  slot.readers.fetch_add(1, std::memory_order_seq_cst);
+  Batch* batch = slot.batch.load(std::memory_order_seq_cst);
   bool did_work = false;
   if (batch != nullptr) did_work = execute(*batch);
   slot.readers.fetch_sub(1, std::memory_order_release);
@@ -197,8 +198,14 @@ void ThreadPool::run_batch_parallel(std::uint64_t n, ChunkFn fn, void* ctx,
 
   // Retire the slot, then wait out any worker still pinning the pointer
   // (a bounded window: pinned workers only grab empty tickets by now).
-  slot->batch.store(nullptr, std::memory_order_release);
-  while (slot->readers.load(std::memory_order_acquire) != 0) cpu_relax();
+  // This store->load pair and the worker's pin->re-read pair in
+  // try_execute_from form a Dekker pattern, so all four are seq_cst: in
+  // the single total order either our load sees the pin (and we wait), or
+  // the pin comes after our store and the worker re-reads nullptr (or a
+  // later batch). With release/acquire both loads could see the old
+  // values, and the worker would run this stack descriptor after it died.
+  slot->batch.store(nullptr, std::memory_order_seq_cst);
+  while (slot->readers.load(std::memory_order_seq_cst) != 0) cpu_relax();
 
   if (batch.has_error.load(std::memory_order_acquire)) {
     std::rethrow_exception(batch.error);

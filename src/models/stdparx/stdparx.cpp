@@ -80,7 +80,11 @@ execution_policy::execution_policy(Vendor vendor, Runtime runtime)
 }
 
 void execution_policy::validate() const {
-  (void)profile_for(vendor_, runtime_);  // throws when the gate closed
+  // The roc-stdpar opt-in is the only gate input that can change after
+  // construction; every other (vendor, runtime) verdict is fixed.
+  if (runtime_ == Runtime::RocStdpar) {
+    (void)profile_for(vendor_, runtime_);  // throws when the gate closed
+  }
 }
 
 }  // namespace mcmm::stdparx

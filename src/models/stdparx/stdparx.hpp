@@ -1,7 +1,8 @@
 #pragma once
 // stdparx: a C++ standard-parallelism (pSTL) embedding (paper Sec. 4,
-// items 11, 26, 40). Algorithms take an execution policy bound to a
-// simulated device through one of the real-world runtimes:
+// items 11, 26, 40): an execution policy bound to a simulated device
+// through one of the real-world runtimes, gated per Figure 1's Standard
+// column:
 //
 //   NVHPC      — nvc++ -stdpar=gpu, vendor-complete on NVIDIA (item 11)
 //   OneDPL     — Intel's oneAPI DPC++ Library; native on Intel but in the
@@ -14,17 +15,14 @@
 //   OpenSYCL   — the --hipsycl-stdpar route, experimental on all three
 //
 // Data lives in device_vector<T>, the simulation's stand-in for the
-// unified/managed memory the real runtimes rely on.
+// unified/managed memory the real runtimes rely on. The algorithms that
+// take these policies (for_each, transform, fill, copy, reduce, scan,
+// sort, ...) live in src/pstlx/pstlx.hpp.
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <string_view>
 
 #include "core/error.hpp"
-#include "gpusim/costs.hpp"
 #include "gpusim/device.hpp"
 
 namespace mcmm::stdparx {
@@ -126,247 +124,5 @@ class device_vector {
   std::size_t size_;
   T* data_;
 };
-
-// --- Algorithms (pSTL shapes; `first`/`last` are device pointers). ---
-
-template <typename T, typename F>
-void for_each(const execution_policy& pol, T* first, T* last, F&& f) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.bytes_written = static_cast<double>(n * sizeof(T));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i < n) f(first[i]);
-                     });
-}
-
-template <typename T, typename U, typename F>
-void transform(const execution_policy& pol, const T* first, const T* last,
-               U* out, F&& f) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.bytes_written = static_cast<double>(n * sizeof(U));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i < n) out[i] = f(first[i]);
-                     });
-}
-
-template <typename T, typename U, typename V, typename F>
-void transform(const execution_policy& pol, const T* first1, const T* last1,
-               const U* first2, V* out, F&& f) {
-  const std::size_t n = static_cast<std::size_t>(last1 - first1);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * (sizeof(T) + sizeof(U)));
-  costs.bytes_written = static_cast<double>(n * sizeof(V));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i < n) out[i] = f(first1[i], first2[i]);
-                     });
-}
-
-template <typename T>
-void fill(const execution_policy& pol, T* first, T* last, const T& value) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_written = static_cast<double>(n * sizeof(T));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i < n) first[i] = value;
-                     });
-}
-
-template <typename T>
-void copy(const execution_policy& pol, const T* first, const T* last,
-          T* out) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  pol.queue().memcpy(out, first, n * sizeof(T),
-                     gpusim::CopyKind::DeviceToDevice);
-}
-
-namespace detail {
-
-template <typename T, typename Transform, typename Combine>
-T chunked_reduce(const execution_policy& pol, std::size_t n, T init,
-                 const gpusim::KernelCosts& costs, Transform&& transform,
-                 Combine&& combine) {
-  constexpr std::size_t kChunks = 64;
-  std::array<T, kChunks> partials;
-  std::array<bool, kChunks> used{};
-  const std::size_t chunk = (n + kChunks - 1) / kChunks;
-  // Chunks self-schedule (dynamic grain 1): the offload runtimes behind
-  // stdpar balance uneven iterations, and so does the engine here.
-  pol.queue().launch(gpusim::launch_1d(kChunks, 1), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t c = item.global_x();
-                       if (c >= kChunks) return;
-                       const std::size_t begin = c * chunk;
-                       const std::size_t end = std::min(n, begin + chunk);
-                       if (begin >= end) return;
-                       T acc = transform(begin);
-                       for (std::size_t i = begin + 1; i < end; ++i) {
-                         acc = combine(acc, transform(i));
-                       }
-                       partials[c] = acc;
-                       used[c] = true;
-                     },
-                     gpusim::LaunchPolicy{gpusim::Schedule::Dynamic, 1});
-  T result = init;
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    if (used[c]) result = combine(result, partials[c]);
-  }
-  return result;
-}
-
-}  // namespace detail
-
-template <typename T, typename Combine>
-T reduce(const execution_policy& pol, const T* first, const T* last, T init,
-         Combine&& combine) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.flops = static_cast<double>(n);
-  return detail::chunked_reduce(
-      pol, n, init, costs, [&](std::size_t i) { return first[i]; },
-      std::forward<Combine>(combine));
-}
-
-template <typename T>
-T reduce(const execution_policy& pol, const T* first, const T* last, T init) {
-  return reduce(pol, first, last, init,
-                [](const T& a, const T& b) { return a + b; });
-}
-
-template <typename T, typename U, typename R>
-R transform_reduce(const execution_policy& pol, const T* first1,
-                   const T* last1, const U* first2, R init) {
-  const std::size_t n = static_cast<std::size_t>(last1 - first1);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * (sizeof(T) + sizeof(U)));
-  costs.flops = static_cast<double>(2 * n);
-  return detail::chunked_reduce(
-      pol, n, init, costs,
-      [&](std::size_t i) { return static_cast<R>(first1[i] * first2[i]); },
-      [](const R& a, const R& b) { return a + b; });
-}
-
-template <typename T, typename Pred>
-std::size_t count_if(const execution_policy& pol, const T* first,
-                     const T* last, Pred&& pred) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.flops = static_cast<double>(n);
-  return detail::chunked_reduce(
-      pol, n, std::size_t{0}, costs,
-      [&](std::size_t i) -> std::size_t { return pred(first[i]) ? 1 : 0; },
-      [](std::size_t a, std::size_t b) { return a + b; });
-}
-
-template <typename T>
-void iota(const execution_policy& pol, T* first, T* last, T start) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_written = static_cast<double>(n * sizeof(T));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i < n) first[i] = start + static_cast<T>(i);
-                     });
-}
-
-/// Two-pass chunked inclusive scan (the standard GPU decomposition:
-/// per-chunk sums, exclusive prefix over chunk sums, re-scan).
-template <typename T>
-void inclusive_scan(const execution_policy& pol, const T* first,
-                    const T* last, T* out) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  if (n == 0) return;
-  constexpr std::size_t kChunks = 64;
-  std::array<T, kChunks> sums{};
-  const std::size_t chunk = (n + kChunks - 1) / kChunks;
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.bytes_written = static_cast<double>(n * sizeof(T));
-  pol.queue().launch(gpusim::launch_1d(kChunks, 1), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t c = item.global_x();
-                       if (c >= kChunks) return;
-                       const std::size_t b = c * chunk;
-                       const std::size_t e = std::min(n, b + chunk);
-                       T acc{};
-                       for (std::size_t i = b; i < e; ++i) acc += first[i];
-                       sums[c] = acc;
-                     },
-                     gpusim::LaunchPolicy{gpusim::Schedule::Dynamic, 1});
-  std::array<T, kChunks> offsets{};
-  T running{};
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    offsets[c] = running;
-    running += sums[c];
-  }
-  pol.queue().launch(gpusim::launch_1d(kChunks, 1), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t c = item.global_x();
-                       if (c >= kChunks) return;
-                       const std::size_t b = c * chunk;
-                       const std::size_t e = std::min(n, b + chunk);
-                       T acc = offsets[c];
-                       for (std::size_t i = b; i < e; ++i) {
-                         acc += first[i];
-                         out[i] = acc;
-                       }
-                     },
-                     gpusim::LaunchPolicy{gpusim::Schedule::Dynamic, 1});
-}
-
-template <typename T>
-[[nodiscard]] T max_element_value(const execution_policy& pol,
-                                  const T* first, const T* last) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.flops = static_cast<double>(n);
-  return detail::chunked_reduce(
-      pol, n, std::numeric_limits<T>::lowest(), costs,
-      [&](std::size_t i) { return first[i]; },
-      [](const T& a, const T& b) { return a > b ? a : b; });
-}
-
-template <typename T>
-[[nodiscard]] T min_element_value(const execution_policy& pol,
-                                  const T* first, const T* last) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  gpusim::KernelCosts costs;
-  costs.bytes_read = static_cast<double>(n * sizeof(T));
-  costs.flops = static_cast<double>(n);
-  return detail::chunked_reduce(
-      pol, n, std::numeric_limits<T>::max(), costs,
-      [&](std::size_t i) { return first[i]; },
-      [](const T& a, const T& b) { return a < b ? a : b; });
-}
-
-/// Offloaded sort (the simulation sorts in device memory; costs follow an
-/// n log n radix/merge hybrid's traffic).
-template <typename T>
-void sort(const execution_policy& pol, T* first, T* last) {
-  const std::size_t n = static_cast<std::size_t>(last - first);
-  if (n == 0) return;
-  gpusim::KernelCosts costs;
-  const double passes = std::max(1.0, std::log2(static_cast<double>(n)) / 2);
-  costs.bytes_read = static_cast<double>(n * sizeof(T)) * passes;
-  costs.bytes_written = static_cast<double>(n * sizeof(T)) * passes;
-  pol.queue().launch(gpusim::launch_1d(1, 1), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       if (item.global_x() == 0) std::sort(first, last);
-                     });
-}
 
 }  // namespace mcmm::stdparx

@@ -19,7 +19,9 @@ namespace {
 
 [[nodiscard]] std::string json_str(std::string_view v) {
   // Route labels and enum names contain no characters needing escapes.
-  return "\"" + std::string(v) + "\"";
+  std::string out = "\"";
+  out.append(v).append("\"");
+  return out;
 }
 
 }  // namespace

@@ -34,9 +34,8 @@
 
 namespace mcmm::pstlx::detail {
 
-/// Reduce/scan use the same 64-way decomposition as stdparx's
-/// chunked_reduce so pstlx results are bitwise identical to the stdparx
-/// primitives they replace in the perfport campaign.
+/// Reduce/scan use a fixed 64-way decomposition, so floating-point
+/// results (Figure 2's Dot/Reduce sums) never depend on the worker count.
 inline constexpr std::size_t kReduceTiles = 64;
 inline constexpr std::size_t kScanTiles = 64;
 
@@ -223,10 +222,10 @@ void blocked_merge_sort(T* data, std::size_t n, Comp comp, T* tmp,
   }
 }
 
-/// Blocked reduce: the exact stdparx::detail::chunked_reduce
-/// decomposition (64 ceil-split chunks, partials combined in chunk
-/// order, init first) so routing the perfport campaign's Dot/Reduce
-/// through pstlx reproduces the stdparx sums bit for bit.
+/// Blocked reduce: 64 ceil-split chunks, each folded serially, partials
+/// combined in chunk order with init first. This order is the FP
+/// contract behind the perfport campaign's Dot/Reduce sums (pinned by
+/// the serial oracle in tests/pstlx/test_differential.cpp).
 template <typename R, typename Transform, typename Combine,
           typename NoteChunk, typename Exec>
 [[nodiscard]] R blocked_reduce(std::size_t n, R init, Transform&& transform,

@@ -1,19 +1,23 @@
 #pragma once
 // pstlx: device-executed parallel algorithms over the simulated GPU —
-// the pSTL column of Figure 1 made runnable. Every algorithm takes a
+// the pSTL column of Figure 1 made runnable, and the repository's only
+// pSTL algorithm layer. Every algorithm takes a
 // stdparx::execution_policy (NVHPC / oneDPL / roc-stdpar / Open SYCL
-// per-vendor gate) and dispatches through gpusim::Queue launches, so
-// the gpusan shadow log and the gpuprof roofline summaries observe
-// every access and every launch with no pstlx-specific plumbing.
+// per-vendor gate; stdparx itself carries no algorithms) and dispatches
+// through gpusim::Queue launches, so the gpusan shadow log and the
+// gpuprof roofline summaries observe every access and every launch with
+// no pstlx-specific plumbing.
 //
 // Algorithm cores live in src/pstlx/detail.hpp and are shared with the
 // host fallback (src/pstlx/host.hpp):
-//   reduce / transform_reduce  blocked 64-chunk reduce (bitwise equal
-//                              to stdparx::detail::chunked_reduce)
+//   reduce / transform_reduce  blocked 64-chunk reduce (fixed chunking
+//                              and combine order: bitwise reproducible)
 //   inclusive/exclusive_scan   two-pass block scan
 //   sort / stable_sort         blocked merge sort + merge-path rounds
 //   merge                      co-rank segmented stable merge
-//   for_each / transform       flat per-item kernels
+//   for_each / transform /     flat per-item kernels on one launch
+//   fill                       helper (detail::flat_launch)
+//   copy                       device-to-device queue memcpy
 //
 // Gate semantics (satellite of ISSUE 8): policies re-validate at every
 // algorithm entry via execution_policy::validate(). The roc-stdpar
@@ -78,7 +82,7 @@ class device_buffer {
 };
 
 /// Task executor backed by a queue launch: one work item per task,
-/// self-scheduled (dynamic, grain 1) like stdparx's chunked launches.
+/// self-scheduled (dynamic, grain 1) so uneven tiles balance.
 /// Each call is one launch carrying `costs`, so sim time and profiler
 /// attribution follow the declared traffic, not the task count.
 struct queue_exec {
@@ -126,70 +130,114 @@ class schedule_guard {
 
 // --- Flat per-item kernels ----------------------------------------------
 
+namespace detail {
+
+/// One flat kernel over [0, n): block 256, one item per index. `note(i)`
+/// reports item i's accesses to the sanitizer seam and `body(i)` does the
+/// work. The body is chosen once per launch: the noting one only while a
+/// sanitizer is installed, so uninstrumented runs skip the per-item hook
+/// loads. Sound because hooks never change during a launch (see
+/// gpusim/sanitizer.hpp).
+template <typename Note, typename Body>
+void flat_launch(const stdparx::execution_policy& pol, std::size_t n,
+                 const gpusim::KernelCosts& costs, const Note& note,
+                 const Body& body) {
+  pol.validate();
+  if (n == 0) return;
+  const gpusim::LaunchConfig cfg = gpusim::launch_1d(n, 256);
+  const gpusim::LaunchPolicy policy{t_schedule, 0};
+  if (gpusim::sanitizer_active()) {
+    pol.queue().launch(cfg, costs,
+                       [&](const gpusim::WorkItem& item) {
+                         const std::size_t i = item.global_x();
+                         if (i >= n) return;
+                         note(i);
+                         body(i);
+                       },
+                       policy);
+  } else {
+    pol.queue().launch(cfg, costs,
+                       [&](const gpusim::WorkItem& item) {
+                         const std::size_t i = item.global_x();
+                         if (i < n) body(i);
+                       },
+                       policy);
+  }
+}
+
+}  // namespace detail
+
 template <typename T, typename F>
 void for_each(const stdparx::execution_policy& pol, T* first, T* last,
               F&& f) {
-  pol.validate();
   const std::size_t n = static_cast<std::size_t>(last - first);
-  if (n == 0) return;
-  const auto costs = detail::streaming_costs(
-      static_cast<double>(n * sizeof(T)), static_cast<double>(n * sizeof(T)));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i >= n) return;
-                       detail::NoteDevice::read(first + i, sizeof(T));
-                       detail::NoteDevice::write(first + i, sizeof(T));
-                       f(first[i]);
-                     },
-                     gpusim::LaunchPolicy{detail::t_schedule, 0});
+  detail::flat_launch(
+      pol, n,
+      detail::streaming_costs(static_cast<double>(n * sizeof(T)),
+                              static_cast<double>(n * sizeof(T))),
+      [&](std::size_t i) {
+        detail::NoteDevice::read(first + i, sizeof(T));
+        detail::NoteDevice::write(first + i, sizeof(T));
+      },
+      [&](std::size_t i) { f(first[i]); });
 }
 
 template <typename T, typename U, typename F>
 void transform(const stdparx::execution_policy& pol, const T* first,
                const T* last, U* out, F&& f) {
-  pol.validate();
   const std::size_t n = static_cast<std::size_t>(last - first);
-  if (n == 0) return;
-  const auto costs = detail::streaming_costs(
-      static_cast<double>(n * sizeof(T)), static_cast<double>(n * sizeof(U)));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i >= n) return;
-                       detail::NoteDevice::read(first + i, sizeof(T));
-                       detail::NoteDevice::write(out + i, sizeof(U));
-                       out[i] = f(first[i]);
-                     },
-                     gpusim::LaunchPolicy{detail::t_schedule, 0});
+  detail::flat_launch(
+      pol, n,
+      detail::streaming_costs(static_cast<double>(n * sizeof(T)),
+                              static_cast<double>(n * sizeof(U))),
+      [&](std::size_t i) {
+        detail::NoteDevice::read(first + i, sizeof(T));
+        detail::NoteDevice::write(out + i, sizeof(U));
+      },
+      [&](std::size_t i) { out[i] = f(first[i]); });
 }
 
 template <typename T, typename U, typename V, typename F>
 void transform(const stdparx::execution_policy& pol, const T* first1,
                const T* last1, const U* first2, V* out, F&& f) {
-  pol.validate();
   const std::size_t n = static_cast<std::size_t>(last1 - first1);
-  if (n == 0) return;
-  const auto costs = detail::streaming_costs(
-      static_cast<double>(n * (sizeof(T) + sizeof(U))),
-      static_cast<double>(n * sizeof(V)));
-  pol.queue().launch(gpusim::launch_1d(n, 256), costs,
-                     [&](const gpusim::WorkItem& item) {
-                       const std::size_t i = item.global_x();
-                       if (i >= n) return;
-                       detail::NoteDevice::read(first1 + i, sizeof(T));
-                       detail::NoteDevice::read(first2 + i, sizeof(U));
-                       detail::NoteDevice::write(out + i, sizeof(V));
-                       out[i] = f(first1[i], first2[i]);
-                     },
-                     gpusim::LaunchPolicy{detail::t_schedule, 0});
+  detail::flat_launch(
+      pol, n,
+      detail::streaming_costs(static_cast<double>(n * (sizeof(T) + sizeof(U))),
+                              static_cast<double>(n * sizeof(V))),
+      [&](std::size_t i) {
+        detail::NoteDevice::read(first1 + i, sizeof(T));
+        detail::NoteDevice::read(first2 + i, sizeof(U));
+        detail::NoteDevice::write(out + i, sizeof(V));
+      },
+      [&](std::size_t i) { out[i] = f(first1[i], first2[i]); });
+}
+
+template <typename T>
+void fill(const stdparx::execution_policy& pol, T* first, T* last,
+          const T& value) {
+  const std::size_t n = static_cast<std::size_t>(last - first);
+  detail::flat_launch(
+      pol, n, detail::streaming_costs(0, static_cast<double>(n * sizeof(T))),
+      [&](std::size_t i) { detail::NoteDevice::write(first + i, sizeof(T)); },
+      [&](std::size_t i) { first[i] = value; });
+}
+
+/// Device-to-device copy: a validated queue memcpy (std::copy(par, ...)
+/// on a unified-memory runtime), not a kernel.
+template <typename T>
+void copy(const stdparx::execution_policy& pol, const T* first,
+          const T* last, T* out) {
+  pol.validate();
+  const std::size_t n = static_cast<std::size_t>(last - first);
+  pol.queue().memcpy(out, first, n * sizeof(T),
+                     gpusim::CopyKind::DeviceToDevice);
 }
 
 // --- Blocked reductions --------------------------------------------------
 
-/// Device reduce. Same decomposition, combine order, and KernelCosts as
-/// stdparx::reduce, so replacing one with the other changes neither the
-/// simulated timeline nor the floating-point sum.
+/// Device reduce: 64 ceil-split chunks combined in chunk order after
+/// init, so the floating-point sum is a pure function of the input.
 template <typename T, typename R, typename Combine>
 [[nodiscard]] R reduce(const stdparx::execution_policy& pol, const T* first,
                        const T* last, R init, Combine&& combine) {
@@ -214,8 +262,8 @@ template <typename T, typename R>
                 [](const R& a, const R& b) { return a + b; });
 }
 
-/// Device inner product (the BabelStream Dot shape): bitwise equal to
-/// stdparx::transform_reduce with identical costs and one launch.
+/// Device inner product (the BabelStream Dot shape): one launch, the
+/// same 64-chunk combine order as reduce.
 template <typename T, typename U, typename R>
 [[nodiscard]] R transform_reduce(const stdparx::execution_policy& pol,
                                  const T* first1, const T* last1,

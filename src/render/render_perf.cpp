@@ -111,37 +111,42 @@ std::string figure2_text(const PerfReport& r) {
 }
 
 std::string figure2_markdown(const PerfReport& r) {
-  std::string out =
-      "# Figure 2: BabelStream efficiency matrix\n\n" + config_line(r) +
-      "; best route per cell. Efficiency = achieved GB/s / vendor peak; "
-      "PP = harmonic mean over vendors (0 when unsupported).\n\n";
+  // Built with append/+= only: g++ 12 at -O3 raises a false
+  // -Werror=restrict on `"literal" + std::string&&` chains here.
+  std::string out = "# Figure 2: BabelStream efficiency matrix\n\n";
+  out += config_line(r);
+  out += "; best route per cell. Efficiency = achieved GB/s / vendor peak; "
+         "PP = harmonic mean over vendors (0 when unsupported).\n\n";
   out += "| Model | Kernel |";
   for (const Vendor v : r.config.vendors) {
-    out += " " + std::string(to_string(v)) + " |";
+    out.append(" ").append(to_string(v)).append(" |");
   }
   out += " PP |\n|---|---|";
   for (std::size_t i = 0; i < r.config.vendors.size(); ++i) out += "---:|";
   out += "---:|\n";
   for (const PerfRow& row : r.rows) {
-    out += "| " + std::string(to_string(row.model)) + " | " +
-           std::string(to_string(row.kernel)) + " |";
-    for (const PerfCell& c : row.cells) out += " " + cell_text(c) + " |";
-    out += " " + fixed(row.pp) + " |\n";
+    out.append("| ").append(to_string(row.model)).append(" | ");
+    out.append(to_string(row.kernel)).append(" |");
+    for (const PerfCell& c : row.cells) {
+      out.append(" ").append(cell_text(c)).append(" |");
+    }
+    out.append(" ").append(fixed(row.pp)).append(" |\n");
   }
   if (!r.weak_scaling.empty()) {
     out += "\n## Weak scaling (graph replay)\n\n";
-    out += "n = " +
-           std::to_string(r.weak_scaling.front().n_per_device) +
-           " doubles/device x " +
-           std::to_string(r.weak_scaling.front().reps) +
-           " reps; efficiency = T1 / TN.\n\n";
+    out.append("n = ")
+        .append(std::to_string(r.weak_scaling.front().n_per_device))
+        .append(" doubles/device x ")
+        .append(std::to_string(r.weak_scaling.front().reps))
+        .append(" reps; efficiency = T1 / TN.\n\n");
     out += "| Vendor | Devices | TN (us) | P2P (us) | Efficiency |\n";
     out += "|---|---:|---:|---:|---:|\n";
     for (const perfport::WeakScalingSample& w : r.weak_scaling) {
-      out += "| " + std::string(to_string(w.vendor)) + " | " +
-             std::to_string(w.devices) + " | " + fixed(w.sim_us, 1) +
-             " | " + fixed(w.p2p_us, 3) + " | " + fixed(w.efficiency) +
-             " |\n";
+      out.append("| ").append(to_string(w.vendor)).append(" | ");
+      out.append(std::to_string(w.devices)).append(" | ");
+      out.append(fixed(w.sim_us, 1)).append(" | ");
+      out.append(fixed(w.p2p_us, 3)).append(" | ");
+      out.append(fixed(w.efficiency)).append(" |\n");
     }
   }
   return out;

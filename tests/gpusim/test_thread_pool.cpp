@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mcmm::gpusim {
@@ -103,6 +105,44 @@ TEST(ThreadPool, ManyConsecutiveBatches) {
     total += sum.load();
   }
   EXPECT_EQ(total, 200u * 500u);
+}
+
+// Retire-race stress: several threads submit tiny multi-chunk batches
+// back to back, so descriptors on the submitters' stacks are retired and
+// reused at a high rate while workers pin and re-read the slots. A worker
+// that ran a retired descriptor would double-run (or skip) a chunk, or
+// crash or hang. With release/acquire retire ordering, 3 of 6 runs of
+// this test failed or hung on a 4-core x86 host. Runs to a fixed deadline.
+TEST(ThreadPool, ConcurrentTinyBatchesRetireSafely) {
+  ThreadPool pool(2);
+  constexpr int kSubmitters = 4;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(800);
+  std::atomic<std::uint64_t> batches{0};
+  std::atomic<std::uint64_t> bad_batches{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (std::uint64_t round = 0;; ++round) {
+        if (round % 64 == 0 && std::chrono::steady_clock::now() > deadline) {
+          break;
+        }
+        const std::uint64_t n = 2 + (round + s) % 7;
+        std::atomic<std::uint64_t> covered{0};
+        pool.parallel_for_chunks(
+            n,
+            [&](std::uint64_t b, std::uint64_t e) {
+              covered.fetch_add(e - b, std::memory_order_relaxed);
+            },
+            Schedule::Dynamic, 1);
+        if (covered.load() != n) bad_batches.fetch_add(1);
+        batches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(bad_batches.load(), 0u);
+  EXPECT_GT(batches.load(), 0u);
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {

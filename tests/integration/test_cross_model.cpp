@@ -17,6 +17,7 @@
 #include "models/ompx/ompx.hpp"
 #include "models/stdparx/stdparx.hpp"
 #include "models/syclx/syclx.hpp"
+#include "pstlx/pstlx.hpp"
 
 namespace mcmm {
 namespace {
@@ -156,9 +157,9 @@ double via_stdparx(Vendor vendor, stdparx::Runtime runtime) {
   stdparx::device_vector<double> dy(pol, kN);
   dx.upload(x.data(), kN);
   dy.upload(y.data(), kN);
-  stdparx::transform(pol, dx.begin(), dx.end(), dy.begin(), dy.begin(),
-                     [](double a, double b) { return 1.5 * a + b; });
-  return stdparx::reduce(pol, dy.begin(), dy.end(), 0.0);
+  pstlx::transform(pol, dx.begin(), dx.end(), dy.begin(), dy.begin(),
+                   [](double a, double b) { return 1.5 * a + b; });
+  return pstlx::reduce(pol, dy.begin(), dy.end(), 0.0);
 }
 
 double via_kokkosx(kokkosx::ExecSpace space, Vendor vendor) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 namespace mcmm::kokkosx {
@@ -74,10 +76,15 @@ TEST(Kokkosx, ViewLabels) {
   EXPECT_EQ(v.size(), 16u);
 }
 
+// gtest names each instance after a byte dump of its parameter, so every
+// byte is a member: implicit padding would print leftover stack bytes and
+// give the test a new name on every run.
 struct SpaceVendor {
   ExecSpace space;
   Vendor vendor;
+  std::uint8_t unused[3]{};
 };
+static_assert(std::has_unique_object_representations_v<SpaceVendor>);
 
 class KokkosRoutes : public ::testing::TestWithParam<SpaceVendor> {};
 

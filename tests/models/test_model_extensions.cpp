@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "models/kokkosx/kokkosx.hpp"
 #include "models/ompx/ompx.hpp"
 #include "models/stdparx/stdparx.hpp"
+#include "pstlx/pstlx.hpp"
 #include "support/rng.hpp"
 
 namespace mcmm {
@@ -126,13 +128,33 @@ TEST(OmpTargetRoutines, FreeNullIsNoop) {
 }
 
 // ------------------------------------------------ extra pSTL algorithms --
+// std::count_if, std::iota and std::min/max_element spelled with the pSTL
+// algorithms pstlx provides (transform_reduce, for_each, reduce).
+
+/// iota over device memory: for_each recovers the index from the element
+/// address (pSTL has no index-based loop).
+template <typename T>
+void device_iota(const stdparx::execution_policy& pol, T* first, T* last,
+                 T start) {
+  pstlx::for_each(pol, first, last, [first, start](T& x) {
+    x = start + static_cast<T>(&x - first);
+  });
+}
+
+template <typename T, typename Pred>
+std::size_t device_count_if(const stdparx::execution_policy& pol,
+                            const T* first, const T* last, Pred pred) {
+  return pstlx::transform_reduce(
+      pol, first, last, std::size_t{0},
+      [pred](const T& x) -> std::size_t { return pred(x) ? 1 : 0; });
+}
 
 TEST(StdparExtensions, CountIf) {
   const auto pol = stdparx::par_gpu(Vendor::NVIDIA, stdparx::Runtime::NVHPC);
   constexpr std::size_t n = 10000;
   stdparx::device_vector<int> v(pol, n);
-  stdparx::iota(pol, v.begin(), v.end(), 0);
-  const std::size_t evens = stdparx::count_if(
+  device_iota(pol, v.begin(), v.end(), 0);
+  const std::size_t evens = device_count_if(
       pol, v.begin(), v.end(), [](int x) { return x % 2 == 0; });
   EXPECT_EQ(evens, n / 2);
 }
@@ -141,7 +163,7 @@ TEST(StdparExtensions, Iota) {
   const auto pol = stdparx::par_gpu(Vendor::Intel, stdparx::Runtime::OneDPL);
   constexpr std::size_t n = 500;
   stdparx::device_vector<long> v(pol, n);
-  stdparx::iota(pol, v.begin(), v.end(), 10L);
+  device_iota(pol, v.begin(), v.end(), 10L);
   std::vector<long> host(n);
   v.download(host.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -154,8 +176,8 @@ TEST(StdparExtensions, InclusiveScan) {
   constexpr std::size_t n = 1234;
   stdparx::device_vector<long> in(pol, n);
   stdparx::device_vector<long> out(pol, n);
-  stdparx::fill(pol, in.begin(), in.end(), 2L);
-  stdparx::inclusive_scan(pol, in.begin(), in.end(), out.begin());
+  pstlx::fill(pol, in.begin(), in.end(), 2L);
+  pstlx::inclusive_scan(pol, in.begin(), in.end(), out.begin());
   std::vector<long> host(n);
   out.download(host.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -172,7 +194,7 @@ TEST(StdparExtensions, InclusiveScanNonUniform) {
   stdparx::device_vector<long> in(pol, n);
   stdparx::device_vector<long> out(pol, n);
   in.upload(host.data(), n);
-  stdparx::inclusive_scan(pol, in.begin(), in.end(), out.begin());
+  pstlx::inclusive_scan(pol, in.begin(), in.end(), out.begin());
   std::vector<long> result(n);
   out.download(result.data(), n);
   long acc = 0;
@@ -194,19 +216,25 @@ TEST(StdparExtensions, MinMaxElementValues) {
   host[3210] = 1e6;
   stdparx::device_vector<double> v(pol, n);
   v.upload(host.data(), n);
-  EXPECT_DOUBLE_EQ(stdparx::min_element_value(pol, v.begin(), v.end()),
-                   -5.0);
-  EXPECT_DOUBLE_EQ(stdparx::max_element_value(pol, v.begin(), v.end()),
-                   1e6);
+  EXPECT_DOUBLE_EQ(
+      pstlx::reduce(pol, v.begin(), v.end(),
+                    std::numeric_limits<double>::max(),
+                    [](double a, double b) { return a < b ? a : b; }),
+      -5.0);
+  EXPECT_DOUBLE_EQ(
+      pstlx::reduce(pol, v.begin(), v.end(),
+                    std::numeric_limits<double>::lowest(),
+                    [](double a, double b) { return a > b ? a : b; }),
+      1e6);
 }
 
 TEST(StdparExtensions, EmptyRangeBehaviour) {
   const auto pol = stdparx::par_gpu(Vendor::NVIDIA, stdparx::Runtime::NVHPC);
   stdparx::device_vector<double> v(pol, 1);
-  EXPECT_EQ(stdparx::count_if(pol, v.begin(), v.begin(),
-                              [](double) { return true; }),
+  EXPECT_EQ(device_count_if(pol, v.begin(), v.begin(),
+                            [](double) { return true; }),
             0u);
-  stdparx::inclusive_scan(pol, v.begin(), v.begin(), v.begin());  // no-op
+  pstlx::inclusive_scan(pol, v.begin(), v.begin(), v.begin());  // no-op
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 namespace mcmm::ompx {
@@ -77,10 +79,16 @@ TEST(Ompx, UnsupportedFeatureErrorNamesTheCompiler) {
   }
 }
 
+// gtest names each instance after a byte dump of its parameter, so every
+// byte is a member: implicit padding would print leftover stack bytes and
+// give the test a new name on every run.
 struct VendorCompiler {
+  VendorCompiler(Vendor v, Compiler c) : vendor(v), compiler(c) {}
   Vendor vendor;
+  std::uint8_t unused[3]{};
   Compiler compiler;
 };
+static_assert(std::has_unique_object_representations_v<VendorCompiler>);
 
 class OmpxOffload : public ::testing::TestWithParam<VendorCompiler> {};
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
+#include "pstlx/pstlx.hpp"
 #include "support/rng.hpp"
 
 namespace mcmm::stdparx {
@@ -65,10 +68,16 @@ TEST(Stdparx, OpenSyclReachesAllVendors) {
   }
 }
 
+// gtest names each instance after a byte dump of its parameter, so every
+// byte is a member: implicit padding would print leftover stack bytes and
+// give the test a new name on every run.
 struct Route {
+  Route(Vendor v, Runtime r) : vendor(v), runtime(r) {}
   Vendor vendor;
+  std::uint8_t unused[3]{};
   Runtime runtime;
 };
+static_assert(std::has_unique_object_representations_v<Route>);
 
 std::vector<Route> working_routes() {
   return {
@@ -89,12 +98,12 @@ TEST_P(StdparRoutes, TransformReduceAndFill) {
   device_vector<double> b(pol, n);
   device_vector<double> c(pol, n);
 
-  fill(pol, a.begin(), a.end(), 2.0);
-  fill(pol, b.begin(), b.end(), 0.5);
-  transform(pol, a.begin(), a.end(), b.begin(), c.begin(),
-            [](double x, double y) { return x * y; });
+  pstlx::fill(pol, a.begin(), a.end(), 2.0);
+  pstlx::fill(pol, b.begin(), b.end(), 0.5);
+  pstlx::transform(pol, a.begin(), a.end(), b.begin(), c.begin(),
+                   [](double x, double y) { return x * y; });
   const double dot =
-      transform_reduce(pol, c.begin(), c.end(), a.begin(), 0.0);
+      pstlx::transform_reduce(pol, c.begin(), c.end(), a.begin(), 0.0);
   // c[i] = 1.0, a[i] = 2.0 -> dot = 2n.
   EXPECT_DOUBLE_EQ(dot, 2.0 * n);
 }
@@ -104,8 +113,8 @@ TEST_P(StdparRoutes, ForEachMutatesInPlace) {
       par_gpu(GetParam().vendor, GetParam().runtime);
   constexpr std::size_t n = 1000;
   device_vector<int> v(pol, n);
-  fill(pol, v.begin(), v.end(), 1);
-  for_each(pol, v.begin(), v.end(), [](int& x) { x += 41; });
+  pstlx::fill(pol, v.begin(), v.end(), 1);
+  pstlx::for_each(pol, v.begin(), v.end(), [](int& x) { x += 41; });
   std::vector<int> host(n);
   v.download(host.data(), n);
   for (const int x : host) ASSERT_EQ(x, 42);
@@ -130,11 +139,11 @@ TEST(Stdparx, ReduceSumAndCustomOp) {
   std::iota(host.begin(), host.end(), 1.0);
   device_vector<double> d(pol, n);
   d.upload(host.data(), n);
-  EXPECT_DOUBLE_EQ(reduce(pol, d.begin(), d.end(), 0.0),
+  EXPECT_DOUBLE_EQ(pstlx::reduce(pol, d.begin(), d.end(), 0.0),
                    static_cast<double>(n) * (n + 1) / 2);
   const double mx =
-      reduce(pol, d.begin(), d.end(), 0.0,
-             [](double a, double b) { return a > b ? a : b; });
+      pstlx::reduce(pol, d.begin(), d.end(), 0.0,
+                    [](double a, double b) { return a > b ? a : b; });
   EXPECT_DOUBLE_EQ(mx, static_cast<double>(n));
 }
 
@@ -143,8 +152,8 @@ TEST(Stdparx, CopyIsDeviceToDevice) {
   constexpr std::size_t n = 512;
   device_vector<int> a(pol, n);
   device_vector<int> b(pol, n);
-  fill(pol, a.begin(), a.end(), 7);
-  copy(pol, a.begin(), a.end(), b.begin());
+  pstlx::fill(pol, a.begin(), a.end(), 7);
+  pstlx::copy(pol, a.begin(), a.end(), b.begin());
   std::vector<int> host(n);
   b.download(host.data(), n);
   for (const int x : host) ASSERT_EQ(x, 7);
@@ -160,7 +169,7 @@ TEST(Stdparx, SortOrdersDeviceArray) {
   }
   device_vector<int> d(pol, n);
   d.upload(host.data(), n);
-  sort(pol, d.begin(), d.end());
+  pstlx::sort(pol, d.begin(), d.end());
   std::vector<int> back(n);
   d.download(back.data(), n);
   std::sort(host.begin(), host.end());
@@ -172,9 +181,9 @@ TEST(Stdparx, UnaryTransform) {
   constexpr std::size_t n = 333;
   device_vector<double> in(pol, n);
   device_vector<double> out(pol, n);
-  fill(pol, in.begin(), in.end(), 3.0);
-  transform(pol, in.begin(), in.end(), out.begin(),
-            [](double x) { return x * x; });
+  pstlx::fill(pol, in.begin(), in.end(), 3.0);
+  pstlx::transform(pol, in.begin(), in.end(), out.begin(),
+                   [](double x) { return x * x; });
   std::vector<double> host(n);
   out.download(host.data(), n);
   for (const double x : host) ASSERT_DOUBLE_EQ(x, 9.0);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -10,10 +12,16 @@
 namespace mcmm::syclx {
 namespace {
 
+// gtest names each instance after a byte dump of its parameter, so every
+// byte is a member: implicit padding would print leftover stack bytes and
+// give the test a new name on every run.
 struct Combo {
+  Combo(Vendor v, Implementation i) : vendor(v), impl(i) {}
   Vendor vendor;
+  std::uint8_t unused[3]{};
   Implementation impl;
 };
+static_assert(std::has_unique_object_representations_v<Combo>);
 
 class SyclAllRoutes : public ::testing::TestWithParam<Combo> {};
 

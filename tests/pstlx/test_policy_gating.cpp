@@ -165,6 +165,10 @@ TEST(PstlxPolicyGating, AllAlgorithmsRejectRevokedPolicyUniformly) {
   EXPECT_THROW(pstlx::merge(pol, a.begin(), a.end(), b.begin(), b.end(),
                             out.begin()),
                UnsupportedCombination);
+  EXPECT_THROW(pstlx::fill(pol, a.begin(), a.end(), 0),
+               UnsupportedCombination);
+  EXPECT_THROW(pstlx::copy(pol, a.begin(), a.end(), b.begin()),
+               UnsupportedCombination);
   EXPECT_EQ(pol.queue().simulated_time_us(), before);
 }
 
