@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <utility>
 
 namespace mcmm::gpusim {
 namespace {
@@ -26,6 +27,65 @@ std::atomic<std::size_t> g_default_guard_bytes{0};
   return s;
 }
 
+/// The free list behind DeviceAllocator's backing-store recycling. Never
+/// destroyed: the Platform's devices release their blocks during static
+/// teardown, and pooled blocks stay reachable for leak checkers.
+class BackingPool {
+ public:
+  [[nodiscard]] static BackingPool& instance() {
+    static auto* const pool = new BackingPool;
+    return *pool;
+  }
+
+  /// A pooled block of exactly `bytes` (newest first), else fresh memory.
+  [[nodiscard]] void* acquire(std::size_t bytes) {
+    if (bytes >= DeviceAllocator::kRecycleMinBytes) {
+      const std::lock_guard lock(mutex_);
+      for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
+        if (it->second != bytes) continue;
+        void* raw = it->first;
+        blocks_.erase(std::next(it).base());
+        stats_.pooled_bytes -= bytes;
+        ++stats_.recycled;
+        return raw;
+      }
+      ++stats_.fresh;
+    }
+    return std::malloc(bytes);
+  }
+
+  /// Parks `raw` (of `bytes`) on the list, evicting the oldest entries
+  /// past the bounds; blocks the list cannot hold go straight to free.
+  void release(void* raw, std::size_t bytes) {
+    if (bytes < DeviceAllocator::kRecycleMinBytes ||
+        bytes > DeviceAllocator::kRecycleMaxBytes) {
+      std::free(raw);
+      return;
+    }
+    const std::lock_guard lock(mutex_);
+    while (blocks_.size() == DeviceAllocator::kRecycleMaxBlocks ||
+           stats_.pooled_bytes + bytes > DeviceAllocator::kRecycleMaxBytes) {
+      std::free(blocks_.front().first);
+      stats_.pooled_bytes -= blocks_.front().second;
+      blocks_.erase(blocks_.begin());
+    }
+    blocks_.emplace_back(raw, bytes);
+    stats_.pooled_bytes += bytes;
+  }
+
+  [[nodiscard]] BackingStats stats() {
+    const std::lock_guard lock(mutex_);
+    BackingStats s = stats_;
+    s.pooled_blocks = blocks_.size();
+    return s;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::pair<void*, std::size_t>> blocks_;  ///< oldest first
+  BackingStats stats_;
+};
+
 }  // namespace
 
 DeviceAllocator::DeviceAllocator(std::size_t capacity_bytes)
@@ -33,11 +93,15 @@ DeviceAllocator::DeviceAllocator(std::size_t capacity_bytes)
       guard_(g_default_guard_bytes.load(std::memory_order_relaxed)) {}
 
 DeviceAllocator::~DeviceAllocator() {
-  // Free any leaked blocks; leak *detection* is the caller's job via
+  // Reclaim any leaked blocks; leak *detection* is the caller's job via
   // live_blocks()/live_allocations().
   for (const auto& [base, block] : blocks_) {
-    std::free(static_cast<std::byte*>(const_cast<void*>(base)) -
-              block.guard);
+    auto* raw = static_cast<std::byte*>(const_cast<void*>(base)) - block.guard;
+    if (block.guard == 0) {
+      BackingPool::instance().release(raw, padded_size(block.bytes));
+    } else {
+      std::free(raw);
+    }
   }
   for (const FreedBlock& f : quarantine_) {
     if (f.raw != nullptr) std::free(f.raw);
@@ -46,6 +110,10 @@ DeviceAllocator::~DeviceAllocator() {
 
 void DeviceAllocator::set_default_guard_bytes(std::size_t guard) noexcept {
   g_default_guard_bytes.store(guard, std::memory_order_relaxed);
+}
+
+BackingStats DeviceAllocator::backing_stats() {
+  return BackingPool::instance().stats();
 }
 
 void* DeviceAllocator::allocate(std::size_t bytes, std::string_view origin) {
@@ -58,8 +126,9 @@ void* DeviceAllocator::allocate(std::size_t bytes, std::string_view origin) {
     throw OutOfMemory(bytes, capacity_ - used_);
   }
   const std::size_t guard = guard_;
-  auto* raw =
-      static_cast<std::byte*>(std::malloc(padded_size(bytes) + 2 * guard));
+  auto* raw = static_cast<std::byte*>(
+      guard == 0 ? BackingPool::instance().acquire(padded_size(bytes))
+                 : std::malloc(padded_size(bytes) + 2 * guard));
   if (raw == nullptr) throw std::bad_alloc();
   if (guard != 0) {
     std::memset(raw, kCanaryByte, guard);
@@ -104,7 +173,7 @@ void DeviceAllocator::deallocate(void* p) {
                 padded_size(it->second.bytes) + 2 * it->second.guard);
     freed.raw = raw;
   } else {
-    std::free(raw);
+    BackingPool::instance().release(raw, padded_size(it->second.bytes));
   }
   quarantine_.push_back(std::move(freed));
   if (quarantine_.size() > kQuarantineEntries) {

@@ -11,6 +11,14 @@
 // increasing allocation id so findings can name the offending allocation.
 // A bounded quarantine of recently freed blocks lets range checks attribute
 // use-after-free accesses to the allocation they once belonged to.
+//
+// Backing-store recycling: unguarded blocks of at least kRecycleMinBytes
+// are not returned to malloc when freed (or reclaimed at allocator
+// teardown) but parked on one process-wide, bounded free list shared by
+// every allocator; the next allocation of exactly the same size takes
+// one back instead of page-faulting fresh memory. Contents of a recycled
+// block are unspecified, as with cudaMalloc. Guarded (sanitizer) blocks
+// never enter or leave the list.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,6 +52,15 @@ struct LiveBlock {
   std::size_t bytes{};
   std::uint64_t id{};     ///< allocation sequence number (1-based)
   std::string origin;     ///< tag supplied at allocation ("" = untagged)
+};
+
+/// Process-wide counters of the backing-store free list. Only allocations
+/// eligible for recycling (unguarded, at least kRecycleMinBytes) count.
+struct BackingStats {
+  std::uint64_t recycled{};     ///< served from the free list
+  std::uint64_t fresh{};        ///< no same-size block pooled: malloc'd
+  std::size_t pooled_blocks{};  ///< blocks on the list now
+  std::size_t pooled_bytes{};
 };
 
 /// A corrupted red zone, as reported to memcheck.
@@ -84,6 +101,15 @@ class DeviceAllocator {
 
   /// Byte value the red zones are filled with.
   static constexpr std::uint8_t kCanaryByte = 0xCB;
+
+  /// Free-list bounds: the smallest recycled block, and the most blocks /
+  /// bytes the list holds (the oldest entries are freed to make room).
+  static constexpr std::size_t kRecycleMinBytes = std::size_t{64} << 10;
+  static constexpr std::size_t kRecycleMaxBlocks = 64;
+  static constexpr std::size_t kRecycleMaxBytes = std::size_t{1} << 30;
+
+  /// Snapshot of the process-wide free-list counters.
+  [[nodiscard]] static BackingStats backing_stats();
 
   /// Allocates `bytes` of simulated device memory. Throws OutOfMemory when
   /// capacity would be exceeded or an injected fault triggers. Zero-byte
@@ -149,7 +175,7 @@ class DeviceAllocator {
   /// `raw` owns it and is freed on eviction — so an instrumented
   /// use-after-free access reads poisoned-but-valid host memory instead of
   /// genuinely freed heap (ASan's quarantine does the same). Unguarded
-  /// blocks free immediately and keep raw null.
+  /// blocks release their backing store immediately and keep raw null.
   struct FreedBlock {
     const void* base{};
     std::size_t bytes{};

@@ -3,6 +3,7 @@
 // gpuprof's ProfilerHooks trace rather than fresh instrumentation.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,6 +12,7 @@
 #include "gpusim/descriptor.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/profiler.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "models/stdparx/stdparx.hpp"
 #include "perfport/perfport.hpp"
 
@@ -50,39 +52,11 @@ class RocStdparGuard {
   bool saved_;
 };
 
-/// Scalar replay of the extended cycle (all elements evolve identically):
-/// per repetition copy, mul, add, triad, dot, reduce, uneven. Uneven
-/// clobbers c with tile prefix sums of the post-triad a; the next
-/// repetition's copy rewrites c before mul reads it, so the classic a/b
-/// recurrence is untouched.
-[[nodiscard]] bool verify_suite(const std::vector<double>& a,
-                                const std::vector<double>& b,
-                                const std::vector<double>& c, double dot,
-                                double reduce, std::size_t n, int reps) {
-  double va = bench::kInitA, vb = bench::kInitB, vc = bench::kInitC;
-  for (int r = 0; r < reps; ++r) {
-    vc = va;                          // copy
-    vb = bench::kScalar * vc;         // mul
-    vc = va + vb;                     // add
-    va = vb + bench::kScalar * vc;    // triad
-  }
-  const double expected_dot = va * vb * static_cast<double>(n);
-  const double expected_reduce = va * va * static_cast<double>(n);
-
-  const auto close = [](double x, double y, double tol) {
-    const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
-    return std::fabs(x - y) / scale < tol;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double span = static_cast<double>(i % bench::kUnevenTile + 1);
-    if (!close(a[i], va, 1e-8) || !close(b[i], vb, 1e-8) ||
-        !close(c[i], span * va, 1e-8)) {
-      return false;
-    }
-  }
-  return close(dot, expected_dot, 1e-6) &&
-         close(reduce, expected_reduce, 1e-6);
-}
+/// The a/b/c read-back vectors the campaign lends to every suite, so their
+/// pages are faulted in once per campaign rather than once per suite.
+struct HostArrays {
+  std::vector<double> a, b, c;
+};
 
 /// One (route, schedule, size) measurement: the suite runs under
 /// gpuprof::capture_trace and each kernel's roofline row comes out of the
@@ -96,11 +70,12 @@ struct SuiteRun {
 
 [[nodiscard]] SuiteRun run_suite(bench::StreamBenchmark& bench,
                                  std::size_t n, int reps,
-                                 gpusim::Schedule schedule) {
+                                 gpusim::Schedule schedule,
+                                 HostArrays& host) {
   bench.set_schedule(schedule);
   double dot_value = 0.0;
   double reduce_value = 0.0;
-  std::vector<double> a, b, c;
+  auto& [a, b, c] = host;
   const gpuprof::Trace trace = gpuprof::capture_trace([&] {
     bench.alloc(n);
     {
@@ -190,6 +165,40 @@ template <typename T>
 
 }  // namespace
 
+bool verify_suite(const std::vector<double>& a, const std::vector<double>& b,
+                  const std::vector<double>& c, double dot, double reduce,
+                  std::size_t n, int reps) {
+  if (a.size() < n || b.size() < n || c.size() < n) return false;
+  double va = bench::kInitA, vb = bench::kInitB, vc = bench::kInitC;
+  for (int r = 0; r < reps; ++r) {
+    vc = va;                          // copy
+    vb = bench::kScalar * vc;         // mul
+    vc = va + vb;                     // add
+    va = vb + bench::kScalar * vc;    // triad
+  }
+  const double expected_dot = va * vb * static_cast<double>(n);
+  const double expected_reduce = va * va * static_cast<double>(n);
+
+  const auto close = [](double x, double y, double tol) {
+    const double scale = std::max({std::fabs(x), std::fabs(y), 1e-30});
+    return std::fabs(x - y) / scale < tol;
+  };
+  std::atomic<bool> ok{true};
+  gpusim::ThreadPool::global().parallel_for_chunks(
+      n, [&](std::uint64_t begin, std::uint64_t end) {
+        for (std::uint64_t i = begin; i < end; ++i) {
+          const double span = static_cast<double>(i % bench::kUnevenTile + 1);
+          if (!close(a[i], va, 1e-8) || !close(b[i], vb, 1e-8) ||
+              !close(c[i], span * va, 1e-8)) {
+            ok = false;
+            return;
+          }
+        }
+      });
+  return ok && close(dot, expected_dot, 1e-6) &&
+         close(reduce, expected_reduce, 1e-6);
+}
+
 PerfReport run_campaign(const CampaignConfig& config) {
   if (config.sizes.empty() || config.reps < 1 || config.vendors.empty() ||
       config.schedules.empty()) {
@@ -199,6 +208,7 @@ PerfReport run_campaign(const CampaignConfig& config) {
 
   PerfReport report;
   report.config = config;
+  HostArrays host;
 
   for (const Vendor vendor : config.vendors) {
     bool counted_routes = false;
@@ -223,7 +233,7 @@ PerfReport run_campaign(const CampaignConfig& config) {
           if (!counted_routes) ++report.route_count;
 
           const SuiteRun run =
-              run_suite(*bench_ptr, n, config.reps, schedule);
+              run_suite(*bench_ptr, n, config.reps, schedule, host);
           for (const PerfKernel kernel : kAllPerfKernels) {
             if (!wanted(config.kernels, kernel)) continue;
             const gpuprof::KernelSummary& s =

@@ -191,6 +191,18 @@ struct PerfReport {
     const std::vector<RouteSample>& samples,
     const std::vector<Vendor>& vendors, std::size_t top_n);
 
+/// The campaign's result oracle: true when the read-back arrays (at least
+/// `n` elements each) and the Dot/Reduce values match a scalar replay of
+/// `reps` repetitions of the extended cycle — copy, mul, add, triad, dot,
+/// reduce, uneven. Every element evolves identically, except that Uneven
+/// leaves c holding tile prefix sums of the post-triad a (the next
+/// repetition's copy rewrites c before mul reads it, so the a/b recurrence
+/// is untouched). The element check runs in chunks on the global pool.
+[[nodiscard]] bool verify_suite(const std::vector<double>& a,
+                                const std::vector<double>& b,
+                                const std::vector<double>& c, double dot,
+                                double reduce, std::size_t n, int reps);
+
 /// Runs the campaign: every stream route of every requested vendor, under
 /// every requested schedule and size, measured via
 /// gpuprof::capture_kernel_summaries. Takes exclusive use of the profiler

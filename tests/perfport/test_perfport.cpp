@@ -3,14 +3,19 @@
 // unsupported-platform and degenerate cases follow the Pennycook
 // convention, and a small campaign is checked end to end for route
 // coverage, verification, metric ranges, and schedule invariance of the
-// simulated clock.
+// simulated clock. The verification oracle is checked against a real
+// route's arrays, and a repeated campaign must recycle its device memory.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "bench_support/stream.hpp"
+#include "gpusim/allocator.hpp"
 #include "perfport/perfport.hpp"
 
 namespace {
@@ -25,6 +30,7 @@ using mcmm::perfport::PerfReport;
 using mcmm::perfport::PerfRow;
 using mcmm::perfport::RouteSample;
 using mcmm::perfport::run_campaign;
+using mcmm::perfport::verify_suite;
 
 TEST(PerformancePortability, HarmonicMeanRecomputedBitForBit) {
   const std::vector<double> e{0.517, 0.25, 0.803};
@@ -208,6 +214,90 @@ TEST(Campaign, EmptyDimensionsAreRejected) {
   cfg = CampaignConfig{};
   cfg.schedules.clear();
   EXPECT_THROW((void)run_campaign(cfg), std::invalid_argument);
+}
+
+TEST(Campaign, SecondRunCreatesNoFreshDeviceBlocks) {
+  // The first campaign fills the allocator's free list; a repeat of it
+  // must back every recyclable device allocation from that list, never
+  // page-faulting fresh buffers per suite.
+  CampaignConfig cfg;
+  cfg.sizes = {1u << 16, 1u << 18};
+  cfg.reps = 1;
+  cfg.vendors = {Vendor::NVIDIA};
+  (void)run_campaign(cfg);
+  using mcmm::gpusim::DeviceAllocator;
+  const mcmm::gpusim::BackingStats before = DeviceAllocator::backing_stats();
+  const PerfReport r = run_campaign(cfg);
+  const mcmm::gpusim::BackingStats after = DeviceAllocator::backing_stats();
+  EXPECT_EQ(after.fresh - before.fresh, 0u);
+  EXPECT_GT(after.recycled - before.recycled, 0u);
+  ASSERT_FALSE(r.samples.empty());
+  for (const RouteSample& s : r.samples) {
+    EXPECT_TRUE(s.verified) << s.route << " " << s.n;
+  }
+}
+
+/// The arrays and Dot/Reduce values of one real route after `reps`
+/// repetitions of the campaign's extended cycle.
+struct SuiteOutput {
+  std::vector<double> a, b, c;
+  double dot{0}, reduce{0};
+};
+
+SuiteOutput run_cuda_suite(std::size_t n, int reps) {
+  const auto benches = mcmm::bench::stream_benchmarks_for(Vendor::NVIDIA);
+  mcmm::bench::StreamBenchmark& bench = *benches.front();
+  SuiteOutput out;
+  bench.alloc(n);
+  bench.init_arrays();
+  for (int r = 0; r < reps; ++r) {
+    bench.copy();
+    bench.mul();
+    bench.add();
+    bench.triad();
+    out.dot = bench.dot();
+    out.reduce = bench.reduce();
+    bench.uneven();
+  }
+  bench.read_arrays(out.a, out.b, out.c);
+  return out;
+}
+
+TEST(VerifySuite, CleanArraysPassWithRaggedChunks) {
+  constexpr std::size_t n = (1u << 16) + 3;  // no even split into chunks
+  const SuiteOutput o = run_cuda_suite(n, 2);
+  EXPECT_TRUE(verify_suite(o.a, o.b, o.c, o.dot, o.reduce, n, 2));
+  // A different repetition count is a different expected state.
+  EXPECT_FALSE(verify_suite(o.a, o.b, o.c, o.dot, o.reduce, n, 1));
+}
+
+TEST(VerifySuite, EverySingleCorruptedElementFails) {
+  constexpr std::size_t n = (1u << 16) + 3;
+  const SuiteOutput clean = run_cuda_suite(n, 2);
+  for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+    for (int array = 0; array < 3; ++array) {
+      SuiteOutput o = clean;
+      std::vector<double>& v = array == 0 ? o.a : array == 1 ? o.b : o.c;
+      v[i] *= 1.0 + 1e-6;
+      EXPECT_FALSE(verify_suite(o.a, o.b, o.c, o.dot, o.reduce, n, 2))
+          << "array " << array << " index " << i;
+    }
+  }
+}
+
+TEST(VerifySuite, NanAndWrongScalarsFail) {
+  constexpr std::size_t n = (1u << 16) + 3;
+  const SuiteOutput clean = run_cuda_suite(n, 2);
+  SuiteOutput o = clean;
+  o.c[n / 3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(verify_suite(o.a, o.b, o.c, o.dot, o.reduce, n, 2));
+  EXPECT_FALSE(verify_suite(clean.a, clean.b, clean.c, std::nan(""),
+                            clean.reduce, n, 2));
+  EXPECT_FALSE(verify_suite(clean.a, clean.b, clean.c, clean.dot,
+                            clean.reduce * 1.01, n, 2));
+  // Arrays shorter than n cannot verify.
+  EXPECT_FALSE(verify_suite(clean.a, clean.b, clean.c, clean.dot,
+                            clean.reduce, n + 1, 2));
 }
 
 }  // namespace
