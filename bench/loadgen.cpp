@@ -62,6 +62,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.hpp"
 #include "data/dataset.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/supervisor.hpp"
@@ -546,14 +547,6 @@ class LoadEngine {
   TierResult out_;  // the in-progress tier; next_request() feeds it
 };
 
-/// Extracts the integer after `"key":` in a flat JSON object; -1 if absent.
-long json_long_field(const std::string& body, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::strtol(body.c_str() + at + needle.size(), nullptr, 10);
-}
-
 /// Value of an un-labelled Prometheus sample, or 0 when absent.
 std::uint64_t scrape_counter(const std::string& text,
                              const std::string& name) {
@@ -752,7 +745,12 @@ int main(int argc, char** argv) {
     } else {
       const std::string body =
           http_get_once(opt.host, opt.port, "/gateway/replicas");
-      fault_pid = json_long_field(body, "pid");
+      // The first replica's pid ("replicas":[{...,"pid":N,...},...]).
+      const auto doc = mcmm::json_parse(body);
+      const mcmm::JsonValue* list = doc ? doc->find("replicas") : nullptr;
+      if (list != nullptr && !list->array.empty()) {
+        fault_pid = list->array.front().find_integer("pid").value_or(-1);
+      }
       if (fault_pid <= 0) {
         std::cerr << "loadgen: --fault could not discover a replica pid "
                      "from /gateway/replicas\n";
@@ -848,59 +846,48 @@ int main(int argc, char** argv) {
     std::cout << "  golden: " << golden_mismatches << " mismatch(es)\n";
   }
 
-  std::ofstream json(opt.json_path);
-  json << "{\n  \"schema\": \""
-       << (gateway_run ? "mcmm-gateway-bench-v2" : "mcmm-serve-bench-v2")
-       << "\",\n"
-       << "  \"completed_requests\": " << completed << ",\n"
-       << "  \"failed_requests\": " << failures << ",\n"
-       << "  \"nodelay\": " << (opt.nodelay ? "true" : "false") << ",\n"
-       << "  \"tiers\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const TierResult& t = results[i];
-    char rps_text[32];
-    std::snprintf(rps_text, sizeof rps_text, "%.0f", t.rps);
-    json << "    {\"connections\": " << t.connections
-         << ", \"requests_per_connection\": " << t.requests_per_connection
-         << ", \"max_held_connections\": " << t.max_held
-         << ", \"completed\": " << t.completed
-         << ", \"failed\": " << t.failed
-         << ", \"ramp_seconds\": " << t.ramp_seconds
-         << ", \"elapsed_seconds\": " << t.elapsed_seconds
-         << ", \"requests_per_second\": " << rps_text
-         << ", \"latency_usec\": {\"p50\": " << t.p50 << ", \"p90\": "
-         << t.p90 << ", \"p99\": " << t.p99 << ", \"max\": " << t.worst
-         << "}}" << (i + 1 < results.size() ? "," : "") << "\n";
+  std::string out;
+  mcmm::JsonWriter w(out, mcmm::JsonWriter::Style::Spaced);
+  w.begin_object(mcmm::JsonWriter::Layout::Lines);
+  w.key("schema").str(gateway_run ? "mcmm-gateway-bench-v2"
+                                  : "mcmm-serve-bench-v2");
+  w.key("completed_requests").integer(completed);
+  w.key("failed_requests").integer(failures);
+  w.key("nodelay").boolean(opt.nodelay);
+  w.key("tiers").begin_array(mcmm::JsonWriter::Layout::Lines);
+  for (const TierResult& t : results) {
+    w.begin_object();
+    w.key("connections").integer(t.connections);
+    w.key("requests_per_connection").integer(t.requests_per_connection);
+    w.key("max_held_connections").integer(t.max_held);
+    w.key("completed").integer(t.completed);
+    w.key("failed").integer(t.failed);
+    w.key("ramp_seconds").general(t.ramp_seconds);
+    w.key("elapsed_seconds").general(t.elapsed_seconds);
+    w.key("requests_per_second").fixed(t.rps, 0);
+    w.key("latency_usec").begin_object();
+    w.key("p50").integer(t.p50).key("p90").integer(t.p90);
+    w.key("p99").integer(t.p99).key("max").integer(t.worst);
+    w.end_object().end_object();
   }
-  json << "  ],\n";
+  w.end_array();
   if (gateway_run) {
-    json << "  \"replicas\": " << (opt.cluster > 0 ? opt.cluster : 0)
-         << ",\n"
-         << "  \"fault_injected\": " << (opt.fault ? "true" : "false")
-         << ",\n"
-         << "  \"retries\": " << retries << ",\n"
-         << "  \"hedges\": " << hedges << ",\n"
-         << "  \"hedge_wins\": " << hedge_wins << ",\n"
-         << "  \"retry_budget_exhausted\": " << budget_exhausted << ",\n";
+    w.key("replicas").integer(opt.cluster);
+    w.key("fault_injected").boolean(opt.fault);
+    w.key("retries").integer(retries);
+    w.key("hedges").integer(hedges);
+    w.key("hedge_wins").integer(hedge_wins);
+    w.key("retry_budget_exhausted").integer(budget_exhausted);
   }
-  if (!golden.empty()) {
-    json << "  \"golden_mismatches\": " << golden_mismatches << ",\n";
-  }
-  json << "  \"status_counts\": {";
-  bool first = true;
+  if (!golden.empty()) w.key("golden_mismatches").integer(golden_mismatches);
+  w.key("status_counts").begin_object();
   for (const auto& [code, n] : by_status) {
-    if (!first) json << ", ";
-    first = false;
-    json << "\"" << code << "\": " << n;
+    w.key(std::to_string(code)).integer(n);
   }
-  json << "},\n  \"paths\": [";
-  first = true;
-  for (const std::string& p : opt.paths) {
-    if (!first) json << ", ";
-    first = false;
-    json << "\"" << p << "\"";
-  }
-  json << "]\n}\n";
+  w.end_object();
+  w.key("paths").strings(opt.paths);
+  w.end_object();
+  std::ofstream(opt.json_path) << out;
   std::cout << "wrote " << opt.json_path << "\n";
 
   return failures == 0 ? 0 : 1;

@@ -35,6 +35,7 @@
 #include "gpusim/graph.hpp"
 
 #include "bench_support/stream.hpp"
+#include "core/json.hpp"
 #include "data/dataset.hpp"
 #include "engine_baseline.hpp"
 #include "gpuprof/gpuprof.hpp"
@@ -710,103 +711,90 @@ void run_multi_device_harness(EngineReport& rep) {
 
 [[nodiscard]] bool write_engine_json(const EngineReport& r,
                                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
   const double launch_speedup =
       r.launch_overhead_ns_engine > 0
           ? r.launch_overhead_ns_seed / r.launch_overhead_ns_engine
           : 0.0;
   const double triad_speedup =
       r.triad_ms_engine > 0 ? r.triad_ms_seed / r.triad_ms_engine : 0.0;
-  out << "{\n"
-      << "  \"schema\": \"mcmm-engine-bench-v1\",\n"
-      << "  \"workers\": " << gpusim::ThreadPool::global().worker_count()
-      << ",\n"
-      << "  \"launch_overhead\": {\n"
-      << "    \"kernel\": \"empty, N=1\",\n"
-      << "    \"engine_ns\": " << r.launch_overhead_ns_engine << ",\n"
-      << "    \"seed_baseline_ns\": " << r.launch_overhead_ns_seed << ",\n"
-      << "    \"speedup\": " << launch_speedup << "\n"
-      << "  },\n"
-      << "  \"triad\": {\n"
-      << "    \"kernel\": \"a[i] = b[i] + scalar * c[i]\",\n"
-      << "    \"n\": " << r.triad_n << ",\n"
-      << "    \"reps\": " << r.triad_reps << ",\n"
-      << "    \"engine_ms\": " << r.triad_ms_engine << ",\n"
-      << "    \"seed_baseline_ms\": " << r.triad_ms_seed << ",\n"
-      << "    \"speedup\": " << triad_speedup << "\n"
-      << "  },\n"
-      << "  \"uneven_chunks\": {\n"
-      << "    \"kernel\": \"64 work items, item 0 is 256x heavier\",\n"
-      << "    \"static_ms\": " << r.uneven_ms_static << ",\n"
-      << "    \"dynamic_ms\": " << r.uneven_ms_dynamic << "\n"
-      << "  },\n"
-      << "  \"profiler\": {\n"
-      << "    \"kernel\": \"empty, N=1\",\n"
-      << "    \"hooks_off_ns\": " << r.profiler_off_ns << ",\n"
-      << "    \"tracing_ns\": " << r.profiler_on_ns << ",\n"
-      << "    \"after_disable_ns\": " << r.profiler_after_disable_ns << "\n"
-      << "  },\n"
-      << "  \"pstlx_percentile_sort\": {\n"
-      << "    \"kernel\": \"loadgen u32 latency sort\",\n"
-      << "    \"n\": " << r.psort_n << ",\n"
-      << "    \"std_sort_ms\": " << r.psort_ms_std << ",\n"
-      << "    \"pstlx_host_sort_ms\": " << r.psort_ms_pstlx << ",\n"
-      << "    \"speedup\": "
-      << (r.psort_ms_pstlx > 0 ? r.psort_ms_std / r.psort_ms_pstlx : 0.0)
-      << ",\n"
-      << "    \"results_identical\": "
-      << (r.psort_identical ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"pstlx_conflict_scan\": {\n"
-      << "    \"kernel\": \"gpusan shadow-log grouping\",\n"
-      << "    \"records\": " << r.cscan_records << ",\n"
-      << "    \"hashmap_ms\": " << r.cscan_ms_hashmap << ",\n"
-      << "    \"pstlx_sort_walk_ms\": " << r.cscan_ms_pstlx << ",\n"
-      << "    \"speedup\": "
-      << (r.cscan_ms_pstlx > 0 ? r.cscan_ms_hashmap / r.cscan_ms_pstlx : 0.0)
-      << ",\n"
-      << "    \"results_identical\": "
-      << (r.cscan_identical ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"graph_replay\": {\n"
-      << "    \"kernel\": \"chain of empty single-item kernels\",\n"
-      << "    \"nodes\": " << r.graph_nodes << ",\n"
-      << "    \"eager_ns_per_launch\": " << r.graph_eager_ns << ",\n"
-      << "    \"replay_ns_per_node\": " << r.graph_replay_ns << ",\n"
-      << "    \"speedup\": "
-      << (r.graph_replay_ns > 0 ? r.graph_eager_ns / r.graph_replay_ns : 0.0)
-      << ",\n"
-      << "    \"budget_ns_per_node\": " << r.graph_eager_ns / 5.0 << ",\n"
-      << "    \"within_budget\": "
-      << (r.graph_replay_ns * 5.0 <= r.graph_eager_ns ? "true" : "false")
-      << ",\n"
-      << "    \"stream_n\": " << r.graph_stream_n << ",\n"
-      << "    \"results_identical\": "
-      << (r.graph_results_identical ? "true" : "false") << ",\n"
-      << "    \"sim_time_identical\": "
-      << (r.graph_sim_time_identical ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"multi_device\": {\n"
-      << "    \"kernel\": \"Triad weak scaling, n per device\",\n"
-      << "    \"n_per_device\": " << r.md_n << ",\n"
-      << "    \"sim_us_1\": " << r.md_sim_us_1 << ",\n"
-      << "    \"sim_us_2\": " << r.md_sim_us_2 << ",\n"
-      << "    \"sim_us_4\": " << r.md_sim_us_4 << ",\n"
-      << "    \"gather_p2p_us\": " << r.md_p2p_us << ",\n"
-      << "    \"weak_scaling_efficiency\": "
-      << (r.md_sim_us_4 > 0 ? r.md_sim_us_1 / r.md_sim_us_4 : 0.0) << ",\n"
-      << "    \"results_identical\": "
-      << (r.md_results_identical ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"sim_time_identical\": "
-      << (r.sim_time_identical ? "true" : "false") << ",\n"
-      << "  \"results_identical\": "
-      << (r.results_identical ? "true" : "false") << "\n"
-      << "}\n";
+  std::string json;
+  JsonWriter w(json, JsonWriter::Style::Spaced);
+  // Opens one A/B section, {"kernel": <what it times>, ...
+  const auto section = [&w](const char* name, const char* kernel) {
+    w.key(name).begin_object(JsonWriter::Layout::Lines);
+    w.key("kernel").str(kernel);
+  };
+  w.begin_object(JsonWriter::Layout::Lines);
+  w.key("schema").str("mcmm-engine-bench-v1");
+  w.key("workers").integer(gpusim::ThreadPool::global().worker_count());
+  section("launch_overhead", "empty, N=1");
+  w.key("engine_ns").general(r.launch_overhead_ns_engine);
+  w.key("seed_baseline_ns").general(r.launch_overhead_ns_seed);
+  w.key("speedup").general(launch_speedup);
+  w.end_object();
+  section("triad", "a[i] = b[i] + scalar * c[i]");
+  w.key("n").integer(r.triad_n);
+  w.key("reps").integer(r.triad_reps);
+  w.key("engine_ms").general(r.triad_ms_engine);
+  w.key("seed_baseline_ms").general(r.triad_ms_seed);
+  w.key("speedup").general(triad_speedup);
+  w.end_object();
+  section("uneven_chunks", "64 work items, item 0 is 256x heavier");
+  w.key("static_ms").general(r.uneven_ms_static);
+  w.key("dynamic_ms").general(r.uneven_ms_dynamic);
+  w.end_object();
+  section("profiler", "empty, N=1");
+  w.key("hooks_off_ns").general(r.profiler_off_ns);
+  w.key("tracing_ns").general(r.profiler_on_ns);
+  w.key("after_disable_ns").general(r.profiler_after_disable_ns);
+  w.end_object();
+  section("pstlx_percentile_sort", "loadgen u32 latency sort");
+  w.key("n").integer(r.psort_n);
+  w.key("std_sort_ms").general(r.psort_ms_std);
+  w.key("pstlx_host_sort_ms").general(r.psort_ms_pstlx);
+  w.key("speedup").general(
+      r.psort_ms_pstlx > 0 ? r.psort_ms_std / r.psort_ms_pstlx : 0.0);
+  w.key("results_identical").boolean(r.psort_identical);
+  w.end_object();
+  section("pstlx_conflict_scan", "gpusan shadow-log grouping");
+  w.key("records").integer(r.cscan_records);
+  w.key("hashmap_ms").general(r.cscan_ms_hashmap);
+  w.key("pstlx_sort_walk_ms").general(r.cscan_ms_pstlx);
+  w.key("speedup").general(
+      r.cscan_ms_pstlx > 0 ? r.cscan_ms_hashmap / r.cscan_ms_pstlx : 0.0);
+  w.key("results_identical").boolean(r.cscan_identical);
+  w.end_object();
+  section("graph_replay", "chain of empty single-item kernels");
+  w.key("nodes").integer(r.graph_nodes);
+  w.key("eager_ns_per_launch").general(r.graph_eager_ns);
+  w.key("replay_ns_per_node").general(r.graph_replay_ns);
+  w.key("speedup").general(
+      r.graph_replay_ns > 0 ? r.graph_eager_ns / r.graph_replay_ns : 0.0);
+  w.key("budget_ns_per_node").general(r.graph_eager_ns / 5.0);
+  w.key("within_budget").boolean(r.graph_replay_ns * 5.0 <= r.graph_eager_ns);
+  w.key("stream_n").integer(r.graph_stream_n);
+  w.key("results_identical").boolean(r.graph_results_identical);
+  w.key("sim_time_identical").boolean(r.graph_sim_time_identical);
+  w.end_object();
+  section("multi_device", "Triad weak scaling, n per device");
+  w.key("n_per_device").integer(r.md_n);
+  w.key("sim_us_1").general(r.md_sim_us_1);
+  w.key("sim_us_2").general(r.md_sim_us_2);
+  w.key("sim_us_4").general(r.md_sim_us_4);
+  w.key("gather_p2p_us").general(r.md_p2p_us);
+  w.key("weak_scaling_efficiency")
+      .general(r.md_sim_us_4 > 0 ? r.md_sim_us_1 / r.md_sim_us_4 : 0.0);
+  w.key("results_identical").boolean(r.md_results_identical);
+  w.end_object();
+  w.key("sim_time_identical").boolean(r.sim_time_identical);
+  w.key("results_identical").boolean(r.results_identical);
+  w.end_object();
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  out << json;
   std::printf(
       "engine A/B: launch %.2f ns vs seed %.2f ns (%.1fx); "
       "triad(n=%llu) %.2f ms vs seed %.2f ms (%.1fx); "

@@ -1,11 +1,10 @@
-#include "serve/json.hpp"
+#include "core/json.hpp"
 
-#include <array>
 #include <cctype>
-#include <charconv>
+#include <cmath>
 #include <cstdio>
 
-namespace mcmm::serve {
+namespace mcmm {
 namespace {
 
 constexpr int kMaxDepth = 64;
@@ -299,6 +298,17 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+std::optional<std::int64_t> JsonValue::find_integer(
+    std::string_view key) const noexcept {
+  const JsonValue* v = find(key);
+  if (v == nullptr || v->kind != Kind::Number ||
+      !(std::fabs(v->number) <= 0x1p53) ||
+      v->number != std::trunc(v->number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(v->number);
+}
+
 std::optional<JsonValue> json_parse(std::string_view text,
                                     std::string* error) {
   Parser p{text, 0, {}};
@@ -317,26 +327,29 @@ std::optional<JsonValue> json_parse(std::string_view text,
 }
 
 void json_escape(std::string& out, std::string_view in) {
-  for (const char c : in) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const auto c = static_cast<unsigned char>(in[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(in.data() + run, i - run);
+    run = i + 1;
+    out += '\\';
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '\b': out += 'b'; break;
+      case '\f': out += 'f'; break;
+      case '\n': out += 'n'; break;
+      case '\r': out += 'r'; break;
+      case '\t': out += 't'; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf.data();
-        } else {
-          out += c;
-        }
+        out += "u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(in.data() + run, in.size() - run);
 }
 
 std::string json_quote(std::string_view in) {
@@ -348,4 +361,79 @@ std::string json_quote(std::string_view in) {
   return out;
 }
 
-}  // namespace mcmm::serve
+std::string fixed_text(double v, int decimals) {
+  char buf[352];  // %f of DBL_MAX is 309 digits before the point
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return buf;
+}
+
+// --- JsonWriter -------------------------------------------------------------
+
+void JsonWriter::newline(std::size_t depth) {
+  out_ += '\n';
+  if (style_ == Style::Spaced) out_.append(2 * depth, ' ');
+}
+
+void JsonWriter::separate() {
+  if (after_key_ || stack_.empty()) {  // a member value or the document
+    after_key_ = false;
+    return;
+  }
+  Frame& frame = stack_.back();
+  if (!frame.empty) out_ += ',';
+  if (frame.lines) {
+    newline(stack_.size());
+  } else if (!frame.empty && style_ == Style::Spaced) {
+    out_ += ' ';
+  }
+  frame.empty = false;
+}
+
+JsonWriter& JsonWriter::open(char bracket, Layout layout) {
+  separate();
+  out_ += bracket;
+  stack_.push_back(Frame{layout == Layout::Lines, true});
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  const bool lines = stack_.back().lines;
+  stack_.pop_back();
+  if (lines) newline(stack_.size());
+  out_ += bracket;
+  if (stack_.empty()) out_ += '\n';
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  str(name);
+  out_ += style_ == Style::Spaced ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::str(std::string_view s) {
+  separate();
+  out_ += '"';
+  json_escape(out_, s);
+  out_ += '"';
+  return *this;
+}
+
+JsonWriter& JsonWriter::literal(std::string_view text) {
+  separate();
+  out_ += text;
+  return *this;
+}
+
+JsonWriter& JsonWriter::fixed(double v, int decimals) {
+  return literal(std::isfinite(v) ? fixed_text(v, decimals) : "null");
+}
+
+JsonWriter& JsonWriter::general(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return literal(std::isfinite(v) ? buf : "null");
+}
+
+}  // namespace mcmm

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "core/json.hpp"
+
 namespace mcmm::gateway {
 namespace {
 
@@ -123,11 +125,13 @@ Response Gateway::handle_metrics(const Request& req) {
 Response Gateway::handle_gateway_healthz() {
   const std::size_t healthy = registry_.healthy_count();
   Response resp;
-  resp.body = std::string("{\"status\":\"") +
-              (healthy > 0 ? "ok" : "unavailable") +
-              "\",\"healthy\":" + std::to_string(healthy) +
-              ",\"replicas\":" + std::to_string(registry_.size()) +
-              ",\"draining\":" + (draining() ? "true" : "false") + "}\n";
+  JsonWriter w(resp.body);
+  w.begin_object();
+  w.key("status").str(healthy > 0 ? "ok" : "unavailable");
+  w.key("healthy").integer(healthy);
+  w.key("replicas").integer(registry_.size());
+  w.key("draining").boolean(draining());
+  w.end_object();
   if (healthy == 0) {
     resp.status = 503;
     resp.extra_headers.emplace_back("Retry-After", "1");
@@ -137,7 +141,9 @@ Response Gateway::handle_gateway_healthz() {
 
 Response Gateway::handle_gateway_replicas() {
   const std::int64_t now_ms = steady_now_ms();
-  std::string body = "{\"replicas\":[";
+  Response resp;
+  JsonWriter w(resp.body);
+  w.begin_object().key("replicas").begin_array();
   for (std::size_t i = 0; i < registry_.size(); ++i) {
     const Replica& r = registry_.at(i);
     const char* breaker = "closed";
@@ -152,23 +158,18 @@ Response Gateway::handle_gateway_replicas() {
         breaker = "half-open";
         break;
     }
-    if (i != 0) body += ',';
-    body += "{\"host\":\"" + r.endpoint.host +
-            "\",\"port\":" + std::to_string(r.endpoint.port) +
-            ",\"pid\":" +
-            std::to_string(r.pid.load(std::memory_order_relaxed)) +
-            ",\"health\":\"" +
-            to_string(r.health.load(std::memory_order_relaxed)) +
-            "\",\"breaker\":\"" + breaker + "\",\"in_flight\":" +
-            std::to_string(r.in_flight.load(std::memory_order_relaxed)) +
-            ",\"reported_in_flight\":" +
-            std::to_string(
-                r.reported_in_flight.load(std::memory_order_relaxed)) +
-            "}";
+    w.begin_object();
+    w.key("host").str(r.endpoint.host);
+    w.key("port").integer(r.endpoint.port);
+    w.key("pid").integer(r.pid.load(std::memory_order_relaxed));
+    w.key("health").str(to_string(r.health.load(std::memory_order_relaxed)));
+    w.key("breaker").str(breaker);
+    w.key("in_flight").integer(r.in_flight.load(std::memory_order_relaxed));
+    w.key("reported_in_flight")
+        .integer(r.reported_in_flight.load(std::memory_order_relaxed));
+    w.end_object();
   }
-  body += "]}\n";
-  Response resp;
-  resp.body = std::move(body);
+  w.end_array().end_object();
   return resp;
 }
 

@@ -6,27 +6,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
+
+#include "core/json.hpp"
 
 namespace mcmm::gateway {
-namespace {
-
-/// Extracts the integer after `"key":` in a tiny flat JSON object.
-/// Returns false when the key is missing or malformed. Good enough for
-/// the /healthz bodies serve emits; not a JSON parser.
-bool json_int_field(const std::string& body, const char* key, long* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return false;
-  const char* p = body.c_str() + at + needle.size();
-  char* end = nullptr;
-  const long value = std::strtol(p, &end, 10);
-  if (end == p) return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
 
 const char* to_string(ReplicaHealth health) noexcept {
   switch (health) {
@@ -205,13 +188,18 @@ bool ReplicaRegistry::probe_once(std::size_t i, std::uint64_t* reported,
       parser.status_code() != 200) {
     return false;
   }
-  const std::string body = parser.take_body();
-  long in_flight = 0;
-  if (json_int_field(body, "in_flight", &in_flight) && in_flight >= 0) {
-    *reported = static_cast<std::uint64_t>(in_flight);
+  // Only the top-level members of a well-formed document count; a body
+  // that does not parse is still a live replica, just one with no load
+  // or pid to report.
+  if (const auto doc = json_parse(parser.take_body())) {
+    const auto in_flight = doc->find_integer("in_flight");
+    if (in_flight && *in_flight >= 0) {
+      *reported = static_cast<std::uint64_t>(*in_flight);
+    }
+    if (const auto reported_pid = doc->find_integer("pid")) {
+      *pid = static_cast<long>(*reported_pid);
+    }
   }
-  long reported_pid = -1;
-  if (json_int_field(body, "pid", &reported_pid)) *pid = reported_pid;
   return true;
 }
 

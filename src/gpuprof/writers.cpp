@@ -1,71 +1,23 @@
 // Trace exporters: chrome://tracing JSON, per-kernel CSV summary, the
 // aggregated text report, and the machine-readable JSON aggregate the
-// `mcmm profile` wrapper consumes. All string output is escaped here —
-// kernel labels are caller-controlled and may contain quotes, backslashes,
-// control characters, or arbitrary UTF-8 (the trace-validation tests fuzz
-// exactly that).
+// `mcmm profile` wrapper consumes. Kernel labels are caller-controlled and
+// may contain quotes, backslashes, control characters, or arbitrary UTF-8
+// (the trace-validation tests fuzz exactly that); the JSON goes through
+// core/json's writer, which escapes every string.
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
 
+#include "core/json.hpp"
 #include "gpuprof/trace.hpp"
 #include "gpusim/descriptor.hpp"
 
 namespace mcmm::gpuprof {
 namespace {
-
-/// JSON string escaping. UTF-8 multi-byte sequences pass through verbatim
-/// (JSON strings are UTF-8); everything below 0x20 plus quote/backslash is
-/// escaped.
-void json_escape(std::string& out, std::string_view in) {
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-[[nodiscard]] std::string json_str(std::string_view in) {
-  std::string out = "\"";
-  json_escape(out, in);
-  out += "\"";
-  return out;
-}
-
-/// Numbers in JSON must be finite and locale-independent.
-[[nodiscard]] std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
 
 /// RFC-4180 CSV field: quoted when it contains a separator, quote, or
 /// newline; embedded quotes doubled.
@@ -182,14 +134,11 @@ std::vector<KernelSummary> Trace::kernel_summaries() const {
 }
 
 std::string Trace::chrome_json() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& event) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n";
-    out += event;
-  };
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().key("traceEvents");
+  w.begin_array(events.empty() ? JsonWriter::Layout::Inline
+                               : JsonWriter::Layout::Lines);
 
   // Metadata: name the per-vendor processes and per-queue threads once.
   std::set<int> pids;
@@ -197,54 +146,58 @@ std::string Trace::chrome_json() const {
   for (const TraceEvent& e : events) {
     const int pid = static_cast<int>(e.vendor);
     if (pids.insert(pid).second) {
-      emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
-           json_str(std::string(to_string(e.vendor)) + " \xc2\xb7 " +
-                    e.device) +
-           "}}");
+      w.begin_object().key("ph").str("M").key("pid").integer(pid);
+      w.key("tid").integer(0).key("name").str("process_name");
+      w.key("args").begin_object();
+      w.key("name").str(std::string(to_string(e.vendor)) + " \xc2\xb7 " +
+                        e.device);
+      w.end_object().end_object();
     }
     if (tids.emplace(pid, e.queue_id).second) {
-      emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
-           std::to_string(e.queue_id) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-           json_str("queue " + std::to_string(e.queue_id)) + "}}");
+      w.begin_object().key("ph").str("M").key("pid").integer(pid);
+      w.key("tid").integer(e.queue_id).key("name").str("thread_name");
+      w.key("args").begin_object();
+      w.key("name").str("queue " + std::to_string(e.queue_id));
+      w.end_object().end_object();
     }
   }
 
   for (const TraceEvent& e : events) {
-    const int pid = static_cast<int>(e.vendor);
-    std::string ev;
     const bool instant =
         e.kind == OpKind::EventRecord || e.kind == OpKind::Sync;
-    ev += instant ? "{\"ph\":\"i\",\"s\":\"t\"" : "{\"ph\":\"X\"";
-    ev += ",\"pid\":" + std::to_string(pid);
-    ev += ",\"tid\":" + std::to_string(e.queue_id);
-    ev += ",\"ts\":" + json_num(e.sim_begin_us);
-    if (!instant) ev += ",\"dur\":" + json_num(e.sim_duration_us());
-    ev += ",\"cat\":\"";
-    ev += chrome_category(e.kind);
-    ev += "\",\"name\":" + json_str(e.name);
-    ev += ",\"args\":{";
-    ev += "\"op\":" + json_str(to_string(e.kind));
-    ev += ",\"model\":" + json_str(e.model);
-    if (!e.launch.empty()) ev += ",\"launch\":" + json_str(e.launch);
-    if (e.items != 0) ev += ",\"items\":" + std::to_string(e.items);
+    w.begin_object();
+    if (instant) {
+      w.key("ph").str("i").key("s").str("t");
+    } else {
+      w.key("ph").str("X");
+    }
+    w.key("pid").integer(static_cast<int>(e.vendor));
+    w.key("tid").integer(e.queue_id);
+    w.key("ts").fixed(e.sim_begin_us);
+    if (!instant) w.key("dur").fixed(e.sim_duration_us());
+    w.key("cat").str(chrome_category(e.kind));
+    w.key("name").str(e.name);
+    w.key("args").begin_object();
+    w.key("op").str(to_string(e.kind));
+    w.key("model").str(e.model);
+    if (!e.launch.empty()) w.key("launch").str(e.launch);
+    if (e.items != 0) w.key("items").integer(e.items);
     if (e.total_bytes() > 0) {
-      ev += ",\"bytes\":" + json_num(e.total_bytes());
+      w.key("bytes").fixed(e.total_bytes());
       if (e.sim_duration_us() > 0) {
-        ev += ",\"achieved_gbps\":" +
-              json_num(e.total_bytes() / (e.sim_duration_us() * 1e3));
+        w.key("achieved_gbps")
+            .fixed(e.total_bytes() / (e.sim_duration_us() * 1e3));
       }
     }
-    if (e.flops > 0) ev += ",\"flops\":" + json_num(e.flops);
-    ev += ",\"host_duration_us\":" + json_num(e.host_duration_us());
-    ev += "}}";
-    emit(ev);
+    if (e.flops > 0) w.key("flops").fixed(e.flops);
+    w.key("host_duration_us").fixed(e.host_duration_us());
+    w.end_object().end_object();
   }
-  out += first ? "]" : "\n]";
-  out += ",\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":"
-         "\"simulated_us\",\"dropped\":" +
-         std::to_string(dropped) + "}}\n";
+  w.end_array();
+  w.key("displayTimeUnit").str("ms");
+  w.key("otherData").begin_object();
+  w.key("clock").str("simulated_us").key("dropped").integer(dropped);
+  w.end_object().end_object();
   return out;
 }
 
@@ -265,17 +218,17 @@ std::string Trace::summary_csv() const {
     out += ',';
     out += std::to_string(r.items);
     out += ',';
-    out += json_num(r.bytes);
+    out += fixed_text(r.bytes);
     out += ',';
-    out += json_num(r.sim_us);
+    out += fixed_text(r.sim_us);
     out += ',';
-    out += json_num(r.host_us);
+    out += fixed_text(r.host_us);
     out += ',';
-    out += json_num(r.achieved_gbps);
+    out += fixed_text(r.achieved_gbps);
     out += ',';
-    out += json_num(r.pct_of_peak);
+    out += fixed_text(r.pct_of_peak);
     out += ',';
-    out += json_num(r.launch_overhead_pct);
+    out += fixed_text(r.launch_overhead_pct);
     out += '\n';
   }
   return out;
@@ -330,32 +283,33 @@ std::string Trace::text_report() const {
 }
 
 std::string Trace::summary_json() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"mcmm-gpuprof-v1\",\n";
-  out += "  \"events\": " + std::to_string(events.size()) + ",\n";
-  out += "  \"dropped\": " + std::to_string(dropped) + ",\n";
-  out += "  \"incomplete\": " + std::to_string(incomplete) + ",\n";
-  out += "  \"kernels\": [";
-  bool first = true;
-  for (const KernelSummary& r : kernel_summaries()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"vendor\": " + json_str(to_string(r.vendor));
-    out += ", \"device\": " + json_str(r.device);
-    out += ", \"kernel\": " + json_str(r.name);
-    out += ", \"model\": " + json_str(r.model);
-    out += ", \"launches\": " + std::to_string(r.launches);
-    out += ", \"items\": " + std::to_string(r.items);
-    out += ", \"bytes\": " + json_num(r.bytes);
-    out += ", \"sim_us\": " + json_num(r.sim_us);
-    out += ", \"host_us\": " + json_num(r.host_us);
-    out += ", \"achieved_gbps\": " + json_num(r.achieved_gbps);
-    out += ", \"pct_of_peak\": " + json_num(r.pct_of_peak);
-    out += ", \"launch_overhead_pct\": " + json_num(r.launch_overhead_pct);
-    out += "}";
+  const std::vector<KernelSummary> rows = kernel_summaries();
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::Spaced);
+  w.begin_object(JsonWriter::Layout::Lines);
+  w.key("schema").str("mcmm-gpuprof-v1");
+  w.key("events").integer(events.size());
+  w.key("dropped").integer(dropped);
+  w.key("incomplete").integer(incomplete);
+  w.key("kernels").begin_array(rows.empty() ? JsonWriter::Layout::Inline
+                                            : JsonWriter::Layout::Lines);
+  for (const KernelSummary& r : rows) {
+    w.begin_object();
+    w.key("vendor").str(to_string(r.vendor));
+    w.key("device").str(r.device);
+    w.key("kernel").str(r.name);
+    w.key("model").str(r.model);
+    w.key("launches").integer(r.launches);
+    w.key("items").integer(r.items);
+    w.key("bytes").fixed(r.bytes);
+    w.key("sim_us").fixed(r.sim_us);
+    w.key("host_us").fixed(r.host_us);
+    w.key("achieved_gbps").fixed(r.achieved_gbps);
+    w.key("pct_of_peak").fixed(r.pct_of_peak);
+    w.key("launch_overhead_pct").fixed(r.launch_overhead_pct);
+    w.end_object();
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
+  w.end_array().end_object();
   return out;
 }
 

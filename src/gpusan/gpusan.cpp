@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/json.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/sanitizer.hpp"
 #include "pstlx/host.hpp"
@@ -414,33 +415,6 @@ constexpr gpusim::SanitizerHooks kHooks{
   return r;
 }
 
-void json_escape(std::string& out, const std::string& in) {
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::string_view to_string(Pass p) noexcept {
@@ -575,37 +549,29 @@ std::string Report::text() const {
 }
 
 std::string Report::json() const {
-  std::string out = "{\n";
-  out += "  \"total_findings\": " + std::to_string(total_findings) + ",\n";
-  out += "  \"suppressed_duplicates\": " +
-         std::to_string(suppressed_duplicates) + ",\n";
-  out += "  \"launches_checked\": " + std::to_string(launches_checked) +
-         ",\n";
-  out += "  \"accesses_checked\": " + std::to_string(accesses_checked) +
-         ",\n";
-  out += "  \"accesses_dropped\": " + std::to_string(accesses_dropped) +
-         ",\n";
-  out += "  \"findings\": [";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::Spaced);
+  w.begin_object(JsonWriter::Layout::Lines);
+  w.key("total_findings").integer(total_findings);
+  w.key("suppressed_duplicates").integer(suppressed_duplicates);
+  w.key("launches_checked").integer(launches_checked);
+  w.key("accesses_checked").integer(accesses_checked);
+  w.key("accesses_dropped").integer(accesses_dropped);
+  w.key("findings").begin_array(findings.empty()
+                                    ? JsonWriter::Layout::Inline
+                                    : JsonWriter::Layout::Lines);
   for (const Finding& f : findings) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"pass\": \"";
-    out += to_string(f.pass);
-    out += "\", \"kind\": \"";
-    json_escape(out, f.kind);
-    out += "\", \"origin\": \"";
-    json_escape(out, f.origin);
-    out += "\", \"allocation_id\": " + std::to_string(f.allocation_id);
-    out += ", \"launch_id\": " + std::to_string(f.launch_id);
-    out += ", \"launch\": \"";
-    json_escape(out, f.launch);
-    out += "\", \"message\": \"";
-    json_escape(out, f.message);
-    out += "\"}";
+    w.begin_object();
+    w.key("pass").str(to_string(f.pass));
+    w.key("kind").str(f.kind);
+    w.key("origin").str(f.origin);
+    w.key("allocation_id").integer(f.allocation_id);
+    w.key("launch_id").integer(f.launch_id);
+    w.key("launch").str(f.launch);
+    w.key("message").str(f.message);
+    w.end_object();
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
+  w.end_array().end_object();
   return out;
 }
 

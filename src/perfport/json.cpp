@@ -4,132 +4,103 @@
 // thread counts — asserted by tests and diffed by the perf-trajectory CI
 // job.
 
-#include <cstdio>
-
+#include "core/json.hpp"
 #include "perfport/perfport.hpp"
 
 namespace mcmm::perfport {
-namespace {
-
-[[nodiscard]] std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-[[nodiscard]] std::string json_str(std::string_view v) {
-  // Route labels and enum names contain no characters needing escapes.
-  std::string out = "\"";
-  out.append(v).append("\"");
-  return out;
-}
-
-}  // namespace
 
 std::string report_json(const PerfReport& report) {
-  std::string out = "{\n  \"schema\": \"mcmm-perfport-v1\",\n";
+  constexpr auto kLines = JsonWriter::Layout::Lines;
+  std::string out;
+  JsonWriter w(out, JsonWriter::Style::Spaced);
+  w.begin_object(kLines);
+  w.key("schema").str("mcmm-perfport-v1");
 
-  out += "  \"config\": {\"sizes\": [";
-  for (std::size_t i = 0; i < report.config.sizes.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(report.config.sizes[i]);
-  }
-  out += "], \"reps\": " + std::to_string(report.config.reps);
-  out += ", \"schedules\": [";
-  for (std::size_t i = 0; i < report.config.schedules.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_str(to_string(report.config.schedules[i]));
-  }
-  out += "], \"vendors\": [";
-  for (std::size_t i = 0; i < report.config.vendors.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_str(to_string(report.config.vendors[i]));
-  }
-  out += "]},\n";
+  w.key("config").begin_object();
+  w.key("sizes").begin_array();
+  for (const std::size_t n : report.config.sizes) w.integer(n);
+  w.end_array();
+  w.key("reps").integer(report.config.reps);
+  w.key("schedules").begin_array();
+  for (const gpusim::Schedule s : report.config.schedules) w.str(to_string(s));
+  w.end_array();
+  w.key("vendors").begin_array();
+  for (const Vendor v : report.config.vendors) w.str(to_string(v));
+  w.end_array().end_object();
 
-  out += "  \"route_count\": " + std::to_string(report.route_count) + ",\n";
-  out += "  \"kernel_count\": " +
-         std::to_string(report.config.kernels.empty()
-                            ? kAllPerfKernels.size()
-                            : report.config.kernels.size()) +
-         ",\n";
+  w.key("route_count").integer(report.route_count);
+  w.key("kernel_count").integer(report.config.kernels.empty()
+                                    ? kAllPerfKernels.size()
+                                    : report.config.kernels.size());
 
   // The weak-scaling section only appears when the report carries one, so
   // campaign-only payloads stay byte-identical to the committed goldens.
   if (!report.weak_scaling.empty()) {
-    out += "  \"weak_scaling\": [\n";
-    for (std::size_t i = 0; i < report.weak_scaling.size(); ++i) {
-      const WeakScalingSample& w = report.weak_scaling[i];
-      out += "    {\"vendor\": " + json_str(to_string(w.vendor));
-      out += ", \"devices\": " + std::to_string(w.devices);
-      out += ", \"n_per_device\": " + std::to_string(w.n_per_device);
-      out += ", \"reps\": " + std::to_string(w.reps);
-      out += ", \"graph_nodes\": " + std::to_string(w.graph_nodes);
-      out += ", \"sim_us\": " + json_num(w.sim_us);
-      out += ", \"p2p_us\": " + json_num(w.p2p_us);
-      out += ", \"efficiency\": " + json_num(w.efficiency);
-      out += std::string(", \"verified\": ") +
-             (w.verified ? "true" : "false");
-      out += ", \"shares\": [";
-      for (std::size_t j = 0; j < w.shares.size(); ++j) {
-        const DeviceShare& s = w.shares[j];
-        if (j > 0) out += ", ";
-        out += "{\"device\": " + json_str(s.device);
-        out += ", \"ordinal\": " + std::to_string(s.ordinal);
-        out += ", \"sim_us\": " + json_num(s.sim_us);
-        out += ", \"achieved_gbps\": " + json_num(s.achieved_gbps);
-        out += ", \"pct_of_peak\": " + json_num(s.pct_of_peak) + "}";
+    w.key("weak_scaling").begin_array(kLines);
+    for (const WeakScalingSample& ws : report.weak_scaling) {
+      w.begin_object();
+      w.key("vendor").str(to_string(ws.vendor));
+      w.key("devices").integer(ws.devices);
+      w.key("n_per_device").integer(ws.n_per_device);
+      w.key("reps").integer(ws.reps);
+      w.key("graph_nodes").integer(ws.graph_nodes);
+      w.key("sim_us").fixed(ws.sim_us);
+      w.key("p2p_us").fixed(ws.p2p_us);
+      w.key("efficiency").fixed(ws.efficiency);
+      w.key("verified").boolean(ws.verified);
+      w.key("shares").begin_array();
+      for (const DeviceShare& s : ws.shares) {
+        w.begin_object();
+        w.key("device").str(s.device);
+        w.key("ordinal").integer(s.ordinal);
+        w.key("sim_us").fixed(s.sim_us);
+        w.key("achieved_gbps").fixed(s.achieved_gbps);
+        w.key("pct_of_peak").fixed(s.pct_of_peak);
+        w.end_object();
       }
-      out += "]}";
-      if (i + 1 < report.weak_scaling.size()) out += ",";
-      out += "\n";
+      w.end_array().end_object();
     }
-    out += "  ],\n";
+    w.end_array();
   }
 
-  out += "  \"samples\": [\n";
-  for (std::size_t i = 0; i < report.samples.size(); ++i) {
-    const RouteSample& s = report.samples[i];
-    out += "    {\"route\": " + json_str(s.route);
-    out += ", \"model\": " + json_str(to_string(s.model));
-    out += ", \"vendor\": " + json_str(to_string(s.vendor));
-    out += ", \"schedule\": " + json_str(s.schedule);
-    out += ", \"kernel\": " + json_str(to_string(s.kernel));
-    out += ", \"n\": " + std::to_string(s.n);
-    out += ", \"launches\": " + std::to_string(s.launches);
-    out += ", \"sim_us\": " + json_num(s.sim_us);
-    out += ", \"achieved_gbps\": " + json_num(s.achieved_gbps);
-    out += ", \"pct_of_peak\": " + json_num(s.pct_of_peak);
-    out += ", \"peak_gbps\": " + json_num(s.peak_gbps);
-    out += std::string(", \"verified\": ") +
-           (s.verified ? "true" : "false") + "}";
-    if (i + 1 < report.samples.size()) out += ",";
-    out += "\n";
+  w.key("samples").begin_array(kLines);
+  for (const RouteSample& s : report.samples) {
+    w.begin_object();
+    w.key("route").str(s.route);
+    w.key("model").str(to_string(s.model));
+    w.key("vendor").str(to_string(s.vendor));
+    w.key("schedule").str(s.schedule);
+    w.key("kernel").str(to_string(s.kernel));
+    w.key("n").integer(s.n);
+    w.key("launches").integer(s.launches);
+    w.key("sim_us").fixed(s.sim_us);
+    w.key("achieved_gbps").fixed(s.achieved_gbps);
+    w.key("pct_of_peak").fixed(s.pct_of_peak);
+    w.key("peak_gbps").fixed(s.peak_gbps);
+    w.key("verified").boolean(s.verified);
+    w.end_object();
   }
-  out += "  ],\n";
+  w.end_array();
 
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    const PerfRow& r = report.rows[i];
-    out += "    {\"model\": " + json_str(to_string(r.model));
-    out += ", \"kernel\": " + json_str(to_string(r.kernel));
-    out += ", \"pp\": " + json_num(r.pp);
-    out += ", \"cells\": [";
-    for (std::size_t j = 0; j < r.cells.size(); ++j) {
-      const PerfCell& c = r.cells[j];
-      if (j > 0) out += ", ";
-      out += "{\"vendor\": " + json_str(to_string(c.vendor));
-      out += std::string(", \"supported\": ") +
-             (c.supported ? "true" : "false");
-      out += ", \"efficiency\": " + json_num(c.efficiency);
-      out += ", \"route\": " + json_str(c.route);
-      out += ", \"achieved_gbps\": " + json_num(c.achieved_gbps) + "}";
+  w.key("rows").begin_array(kLines);
+  for (const PerfRow& r : report.rows) {
+    w.begin_object();
+    w.key("model").str(to_string(r.model));
+    w.key("kernel").str(to_string(r.kernel));
+    w.key("pp").fixed(r.pp);
+    w.key("cells").begin_array();
+    for (const PerfCell& c : r.cells) {
+      w.begin_object();
+      w.key("vendor").str(to_string(c.vendor));
+      w.key("supported").boolean(c.supported);
+      w.key("efficiency").fixed(c.efficiency);
+      w.key("route").str(c.route);
+      w.key("achieved_gbps").fixed(c.achieved_gbps);
+      w.end_object();
     }
-    out += "]}";
-    if (i + 1 < report.rows.size()) out += ",";
-    out += "\n";
+    w.end_array().end_object();
   }
-  out += "  ]\n}\n";
+  w.end_array().end_object();
   return out;
 }
 

@@ -5,10 +5,10 @@
 #include <utility>
 
 #include "core/claims.hpp"
+#include "core/json.hpp"
 #include "core/planner.hpp"
 #include "render/perf.hpp"
 #include "render/render.hpp"
-#include "serve/json.hpp"
 #include "yamlx/matrix_yaml.hpp"
 
 namespace mcmm::serve {
@@ -16,139 +16,101 @@ namespace {
 
 // --- JSON views of the knowledge base -----------------------------------
 
-void append_route(std::string& out, const Route& r) {
-  out += "{\"name\":";
-  out += json_quote(r.name);
-  out += ",\"kind\":";
-  out += json_quote(to_string(r.kind));
-  out += ",\"provider\":";
-  out += json_quote(to_string(r.provider));
-  out += ",\"maturity\":";
-  out += json_quote(to_string(r.maturity));
-  out += ",\"toolchain\":";
-  out += json_quote(r.toolchain);
-  out += ",\"flags\":[";
-  for (std::size_t i = 0; i < r.flags.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_quote(r.flags[i]);
-  }
-  out += "],\"environment\":[";
-  for (std::size_t i = 0; i < r.environment.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_quote(r.environment[i]);
-  }
-  out += "],\"notes\":";
-  out += json_quote(r.notes);
-  out += '}';
+void write_route(JsonWriter& w, const Route& r) {
+  w.begin_object();
+  w.key("name").str(r.name);
+  w.key("kind").str(to_string(r.kind));
+  w.key("provider").str(to_string(r.provider));
+  w.key("maturity").str(to_string(r.maturity));
+  w.key("toolchain").str(r.toolchain);
+  w.key("flags").strings(r.flags);
+  w.key("environment").strings(r.environment);
+  w.key("notes").str(r.notes);
+  w.end_object();
 }
 
-void append_rating(std::string& out, const Rating& r) {
-  out += "{\"category\":";
-  out += json_quote(category_name(r.category));
-  out += ",\"provider\":";
-  out += json_quote(to_string(r.provider));
-  out += ",\"rationale\":";
-  out += json_quote(r.rationale);
-  out += '}';
+void write_entry(JsonWriter& w, const SupportEntry& e) {
+  w.begin_object();
+  w.key("vendor").str(to_string(e.combo.vendor));
+  w.key("model").str(to_string(e.combo.model));
+  w.key("language").str(to_string(e.combo.language));
+  w.key("ratings").begin_array();
+  for (const Rating& r : e.ratings) {
+    w.begin_object();
+    w.key("category").str(category_name(r.category));
+    w.key("provider").str(to_string(r.provider));
+    w.key("rationale").str(r.rationale);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("description").integer(e.description_id);
+  w.key("inferred").boolean(e.inferred);
+  w.key("usable").boolean(e.usable());
+  w.key("routes").begin_array();
+  for (const Route& r : e.routes) write_route(w, r);
+  w.end_array();
+  w.end_object();
 }
 
-void append_entry(std::string& out, const SupportEntry& e) {
-  out += "{\"vendor\":";
-  out += json_quote(to_string(e.combo.vendor));
-  out += ",\"model\":";
-  out += json_quote(to_string(e.combo.model));
-  out += ",\"language\":";
-  out += json_quote(to_string(e.combo.language));
-  out += ",\"ratings\":[";
-  for (std::size_t i = 0; i < e.ratings.size(); ++i) {
-    if (i != 0) out += ',';
-    append_rating(out, e.ratings[i]);
-  }
-  out += "],\"description\":";
-  out += std::to_string(e.description_id);
-  out += ",\"inferred\":";
-  out += e.inferred ? "true" : "false";
-  out += ",\"usable\":";
-  out += e.usable() ? "true" : "false";
-  out += ",\"routes\":[";
-  for (std::size_t i = 0; i < e.routes.size(); ++i) {
-    if (i != 0) out += ',';
-    append_route(out, e.routes[i]);
-  }
-  out += "]}";
+void write_description(JsonWriter& w, const Description& d) {
+  w.begin_object();
+  w.key("id").integer(d.id);
+  w.key("title").str(d.title);
+  w.key("text").str(d.text);
+  w.key("references").strings(d.references);
+  w.end_object();
 }
 
-void append_description(std::string& out, const Description& d) {
-  out += "{\"id\":";
-  out += std::to_string(d.id);
-  out += ",\"title\":";
-  out += json_quote(d.title);
-  out += ",\"text\":";
-  out += json_quote(d.text);
-  out += ",\"references\":[";
-  for (std::size_t i = 0; i < d.references.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_quote(d.references[i]);
-  }
-  out += "]}";
+/// Opens a serve response document: {"schema":"mcmm-serve-v1", ...
+JsonWriter& begin_document(JsonWriter& w) {
+  return w.begin_object().key("schema").str("mcmm-serve-v1");
 }
 
 std::string matrix_json(const CompatibilityMatrix& m) {
-  std::string out = "{\"schema\":\"mcmm-serve-v1\",\"cell_count\":";
-  out += std::to_string(m.entry_count());
-  out += ",\"description_count\":";
-  out += std::to_string(m.description_count());
-  out += ",\"total_routes\":";
-  out += std::to_string(m.total_route_count());
-  out += ",\"cells\":[";
-  bool first = true;
-  for (const SupportEntry* e : m.entries()) {
-    if (!first) out += ',';
-    first = false;
-    append_entry(out, *e);
-  }
-  out += "],\"descriptions\":[";
-  first = true;
-  for (const Description* d : m.descriptions()) {
-    if (!first) out += ',';
-    first = false;
-    append_description(out, *d);
-  }
-  out += "]}\n";
+  std::string out;
+  JsonWriter w(out);
+  begin_document(w);
+  w.key("cell_count").integer(m.entry_count());
+  w.key("description_count").integer(m.description_count());
+  w.key("total_routes").integer(m.total_route_count());
+  w.key("cells").begin_array();
+  for (const SupportEntry* e : m.entries()) write_entry(w, *e);
+  w.end_array();
+  w.key("descriptions").begin_array();
+  for (const Description* d : m.descriptions()) write_description(w, *d);
+  w.end_array();
+  w.end_object();
   return out;
 }
 
 std::string cell_json(const CompatibilityMatrix& m, const SupportEntry& e) {
-  std::string out = "{\"schema\":\"mcmm-serve-v1\",\"cell\":";
-  append_entry(out, e);
-  out += ",\"description\":";
-  append_description(out, m.description(e.description_id));
-  out += "}\n";
+  std::string out;
+  JsonWriter w(out);
+  begin_document(w).key("cell");
+  write_entry(w, e);
+  w.key("description");
+  write_description(w, m.description(e.description_id));
+  w.end_object();
   return out;
 }
 
 std::string claims_json(const CompatibilityMatrix& m) {
-  const Claims claims(m);
-  std::string out = "{\"schema\":\"mcmm-serve-v1\",\"claims\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(out);
+  begin_document(w).key("claims").begin_array();
   bool all_hold = true;
-  for (const ClaimResult& r : claims.evaluate_all()) {
-    if (!first) out += ',';
-    first = false;
+  for (const ClaimResult& r : Claims(m).evaluate_all()) {
     all_hold = all_hold && r.holds;
-    out += "{\"id\":";
-    out += json_quote(r.id);
-    out += ",\"statement\":";
-    out += json_quote(r.statement);
-    out += ",\"holds\":";
-    out += r.holds ? "true" : "false";
-    out += ",\"evidence\":";
-    out += json_quote(r.evidence);
-    out += '}';
+    w.begin_object();
+    w.key("id").str(r.id);
+    w.key("statement").str(r.statement);
+    w.key("holds").boolean(r.holds);
+    w.key("evidence").str(r.evidence);
+    w.end_object();
   }
-  out += "],\"all_hold\":";
-  out += all_hold ? "true" : "false";
-  out += "}\n";
+  w.end_array();
+  w.key("all_hold").boolean(all_hold);
+  w.end_object();
   return out;
 }
 
@@ -273,53 +235,40 @@ bool parse_plan_query(const JsonValue& doc, PlannerQuery& q,
 
 std::string plan_json(const PlannerQuery& q,
                       const std::vector<PlannedRoute>& plans) {
-  std::string out = "{\"schema\":\"mcmm-serve-v1\",\"query\":{\"language\":";
-  out += json_quote(to_string(q.language));
-  out += ",\"must_run_on\":[";
-  for (std::size_t i = 0; i < q.must_run_on.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_quote(to_string(q.must_run_on[i]));
-  }
-  out += "],\"allowed_models\":[";
-  for (std::size_t i = 0; i < q.allowed_models.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_quote(to_string(q.allowed_models[i]));
-  }
-  out += "],\"minimum_category\":";
-  out += json_quote(category_name(q.minimum_category));
-  out += ",\"require_maintained\":";
-  out += q.require_maintained ? "true" : "false";
-  out += ",\"require_vendor_support\":";
-  out += q.require_vendor_support ? "true" : "false";
-  out += ",\"allow_translators\":";
-  out += q.allow_translators ? "true" : "false";
-  out += "},\"route_count\":";
-  out += std::to_string(plans.size());
-  out += ",\"routes\":[";
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const PlannedRoute& p = plans[i];
-    if (i != 0) out += ',';
-    out += "{\"model\":";
-    out += json_quote(to_string(p.model));
-    out += ",\"rank\":";
-    out += std::to_string(p.rank);
-    out += ",\"rationale\":";
-    out += json_quote(p.rationale);
-    out += ",\"platforms\":[";
-    for (std::size_t j = 0; j < p.platforms.size(); ++j) {
-      const PlannedRoute::PerVendor& v = p.platforms[j];
-      if (j != 0) out += ',';
-      out += "{\"vendor\":";
-      out += json_quote(to_string(v.vendor));
-      out += ",\"category\":";
-      out += json_quote(category_name(v.category));
-      out += ",\"route\":";
-      append_route(out, v.route);
-      out += '}';
+  std::string out;
+  JsonWriter w(out);
+  begin_document(w).key("query").begin_object();
+  w.key("language").str(to_string(q.language));
+  w.key("must_run_on").begin_array();
+  for (const Vendor v : q.must_run_on) w.str(to_string(v));
+  w.end_array();
+  w.key("allowed_models").begin_array();
+  for (const Model m : q.allowed_models) w.str(to_string(m));
+  w.end_array();
+  w.key("minimum_category").str(category_name(q.minimum_category));
+  w.key("require_maintained").boolean(q.require_maintained);
+  w.key("require_vendor_support").boolean(q.require_vendor_support);
+  w.key("allow_translators").boolean(q.allow_translators);
+  w.end_object();
+  w.key("route_count").integer(plans.size());
+  w.key("routes").begin_array();
+  for (const PlannedRoute& p : plans) {
+    w.begin_object();
+    w.key("model").str(to_string(p.model));
+    w.key("rank").integer(p.rank);
+    w.key("rationale").str(p.rationale);
+    w.key("platforms").begin_array();
+    for (const PlannedRoute::PerVendor& v : p.platforms) {
+      w.begin_object();
+      w.key("vendor").str(to_string(v.vendor));
+      w.key("category").str(category_name(v.category));
+      w.key("route");
+      write_route(w, v.route);
+      w.end_object();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "]}\n";
+  w.end_array().end_object();
   return out;
 }
 
@@ -423,22 +372,19 @@ Api::Api(const CompatibilityMatrix& matrix, const Metrics* metrics,
 }
 
 Response Api::handle_health() const {
-  Response r;
-  std::string body = "{\"status\":\"ok\",\"pid\":";
-  body += std::to_string(::getpid());
-  body += ",\"in_flight\":";
   // The gauge counts this /healthz request too; report the load a prober
   // actually cares about — everything else.
   const std::uint64_t gauge =
       metrics_ != nullptr ? metrics_->in_flight() : 0;
-  body += std::to_string(gauge > 0 ? gauge - 1 : 0);
-  body += ",\"draining\":";
-  body += draining_ != nullptr &&
-                  draining_->load(std::memory_order_relaxed)
-              ? "true"
-              : "false";
-  body += "}\n";
-  r.body = std::move(body);
+  Response r;
+  JsonWriter w(r.body);
+  w.begin_object();
+  w.key("status").str("ok");
+  w.key("pid").integer(::getpid());
+  w.key("in_flight").integer(gauge > 0 ? gauge - 1 : 0);
+  w.key("draining").boolean(draining_ != nullptr &&
+                            draining_->load(std::memory_order_relaxed));
+  w.end_object();
   return r;
 }
 

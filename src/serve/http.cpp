@@ -9,7 +9,7 @@
 #include <functional>
 #include <thread>
 
-#include "serve/json.hpp"
+#include "core/json.hpp"
 
 namespace mcmm::serve {
 namespace {
@@ -374,14 +374,12 @@ std::string serialize_response(const Response& r, bool head,
 Response error_response(int status, std::string_view detail) {
   Response r;
   r.status = status;
-  std::string body = "{\"error\":";
-  body += std::to_string(status);
-  body += ",\"reason\":";
-  body += json_quote(status_reason(status));
-  body += ",\"detail\":";
-  body += json_quote(detail);
-  body += "}\n";
-  r.body = std::move(body);
+  JsonWriter w(r.body);
+  w.begin_object();
+  w.key("error").integer(status);
+  w.key("reason").str(status_reason(status));
+  w.key("detail").str(detail);
+  w.end_object();
   return r;
 }
 

@@ -1,47 +1,14 @@
 #pragma once
-// Minimal JSON support for the mcmm serve API: RFC 8259 string escaping on
-// the writer side and a small recursive-descent parser for request bodies
-// (`POST /v1/plan`). Dependency-free on purpose — the payloads are tiny and
-// the repo policy is to own its wire formats (see yamlx for the same call).
+// The JSON module moved to core/json.hpp; these names keep the old
+// mcmm::serve spelling working for code outside src/ that still uses it.
 
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "core/json.hpp"
 
 namespace mcmm::serve {
 
-/// One parsed JSON value. A plain struct (not a variant) keeps the parser
-/// and its consumers simple; only the members matching `kind` are set.
-struct JsonValue {
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-
-  Kind kind{Kind::Null};
-  bool boolean{};
-  double number{};
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
-};
-
-/// Parses a complete JSON document. Strict: rejects trailing garbage,
-/// unescaped control characters, lone surrogates, and nesting deeper than
-/// 64 levels. On failure returns nullopt and, when `error` is non-null,
-/// stores a one-line diagnostic with the byte offset.
-[[nodiscard]] std::optional<JsonValue> json_parse(
-    std::string_view text, std::string* error = nullptr);
-
-/// Appends `in` to `out` with all characters that RFC 8259 requires escaped
-/// (quote, backslash, and control characters) escaped; everything else —
-/// including multi-byte UTF-8 like the category symbols — passes through.
-void json_escape(std::string& out, std::string_view in);
-
-/// `in` escaped and wrapped in double quotes.
-[[nodiscard]] std::string json_quote(std::string_view in);
+using mcmm::json_escape;
+using mcmm::json_parse;
+using mcmm::json_quote;
+using mcmm::JsonValue;
 
 }  // namespace mcmm::serve

@@ -1,18 +1,18 @@
-// Tests for the serve JSON layer: escaping (every dataset description must
-// survive a round trip), the strict parser, and its adversarial inputs.
+// Tests for core/json: escaping (every dataset description must survive a
+// round trip), the strict parser, and its adversarial inputs.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "data/dataset.hpp"
-#include "serve/json.hpp"
+#include "core/json.hpp"
 
 namespace {
 
-using mcmm::serve::json_escape;
-using mcmm::serve::json_parse;
-using mcmm::serve::json_quote;
-using mcmm::serve::JsonValue;
+using mcmm::json_escape;
+using mcmm::json_parse;
+using mcmm::json_quote;
+using mcmm::JsonValue;
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");

@@ -7,13 +7,13 @@
 #include <sstream>
 #include <string>
 
+#include "core/json.hpp"
 #include "data/dataset.hpp"
 #include "perfport/perfport.hpp"
 #include "render/perf.hpp"
 #include "render/render.hpp"
 #include "serve/api.hpp"
 #include "serve/http.hpp"
-#include "serve/json.hpp"
 #include "serve/metrics.hpp"
 
 #ifndef MCMM_GOLDEN_DIR
@@ -25,8 +25,8 @@ namespace {
 using mcmm::data::paper_matrix;
 using mcmm::serve::Api;
 using mcmm::serve::etag_for;
-using mcmm::serve::json_parse;
-using mcmm::serve::JsonValue;
+using mcmm::json_parse;
+using mcmm::JsonValue;
 using mcmm::serve::Request;
 using mcmm::serve::RequestParser;
 using mcmm::serve::Response;

@@ -34,7 +34,8 @@ inline void check_golden(const std::string& path, const std::string& actual) {
   ASSERT_FALSE(expected.empty()) << "missing golden file " << path;
   if (expected == actual) return;
   std::size_t i = 0;
-  while (i < expected.size() && i < actual.size() && expected[i] == actual[i]) {
+  while (i < expected.size() && i < actual.size() &&
+         expected[i] == actual[i]) {
     ++i;
   }
   const std::size_t from = i > 40 ? i - 40 : 0;

@@ -33,6 +33,7 @@
 #include "core/diff.hpp"
 #include "gpuprof/gpuprof.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/planner.hpp"
 #include "core/statistics.hpp"
 #include "data/dataset.hpp"
@@ -323,12 +324,11 @@ std::string shell_quote(const std::string& s) {
   return out;
 }
 
-/// Extracts "total_findings": N from a gpusan JSON report; -1 if absent.
-long parse_total_findings(const std::string& json) {
-  const std::string key = "\"total_findings\":";
-  const std::size_t pos = json.find(key);
-  if (pos == std::string::npos) return -1;
-  return std::strtol(json.c_str() + pos + key.size(), nullptr, 10);
+/// The top-level integer member `key` of a wrapped child's JSON report;
+/// -1 when the report is missing, malformed, or lacks the member.
+long report_count(const std::string& json, std::string_view key) {
+  const auto doc = json_parse(json);
+  return doc ? static_cast<long>(doc->find_integer(key).value_or(-1)) : -1;
 }
 
 /// Wrapper mode: re-runs `command` with MCMM_GPUSAN set (the target binary
@@ -358,7 +358,7 @@ int sanitize_wrapped(const std::vector<std::string>& command,
   }
   if (report_path.empty()) std::remove(report_file.c_str());
 
-  const long findings = parse_total_findings(report_json);
+  const long findings = report_count(report_json, "total_findings");
   if (json) std::cout << report_json;
   if (findings < 0) {
     std::cerr << "mcmm sanitize: no gpusan report produced — is the "
@@ -452,14 +452,6 @@ int cmd_sanitize(const std::vector<std::string>& args) {
 
 // --- mcmm profile --------------------------------------------------------
 
-/// Extracts "events": N from a gpuprof JSON report; -1 if absent.
-long parse_event_count(const std::string& json) {
-  const std::string key = "\"events\":";
-  const std::size_t pos = json.find(key);
-  if (pos == std::string::npos) return -1;
-  return std::strtol(json.c_str() + pos + key.size(), nullptr, 10);
-}
-
 /// Wrapper mode: re-runs `command` with MCMM_GPUPROF set (the target
 /// binary links the gpuprof autoinit object, so the env enables tracing
 /// and writes the requested artifacts at exit) — the
@@ -494,7 +486,7 @@ int profile_wrapped(const std::vector<std::string>& command,
   }
   if (report_path.empty()) std::remove(report_file.c_str());
 
-  const long events = parse_event_count(report_json);
+  const long events = report_count(report_json, "events");
   if (json) std::cout << report_json;
   if (events < 0) {
     std::cerr << "mcmm profile: no gpuprof report produced — is the "
