@@ -44,8 +44,11 @@ inline bool parallel_profitable(const ThreadPool& pool) {
   return multi_core && pool.worker_count() > 1;
 }
 
+// Zero bytes return before memcpy/memset: an empty buffer may hand in
+// null pointers, which the C library functions do not accept.
 inline void run_copy(ThreadPool& pool, void* dst, const void* src,
                      std::size_t bytes) {
+  if (bytes == 0) return;
   if (bytes >= kParallelBytesThreshold && parallel_profitable(pool)) {
     CopyCtx ctx{static_cast<unsigned char*>(dst),
                 static_cast<const unsigned char*>(src)};
@@ -57,6 +60,7 @@ inline void run_copy(ThreadPool& pool, void* dst, const void* src,
 
 inline void run_fill(ThreadPool& pool, void* dst, int value,
                      std::size_t bytes) {
+  if (bytes == 0) return;
   if (bytes >= kParallelBytesThreshold && parallel_profitable(pool)) {
     FillCtx ctx{static_cast<unsigned char*>(dst), value};
     pool.run_batch(bytes, &fill_chunk, &ctx);

@@ -275,7 +275,11 @@ template <typename T, typename U, typename R>
       static_cast<double>(2 * n));
   return detail::blocked_reduce(
       n, init,
-      [&](std::size_t i) { return static_cast<R>(first1[i] * first2[i]); },
+      // Widen before multiplying: an int inner product accumulated in a
+      // long must not overflow in int.
+      [&](std::size_t i) {
+        return static_cast<R>(first1[i]) * static_cast<R>(first2[i]);
+      },
       [](const R& a, const R& b) { return a + b; },
       [&](std::size_t begin, std::size_t end) {
         detail::NoteDevice::read(first1 + begin, (end - begin) * sizeof(T));

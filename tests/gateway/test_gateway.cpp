@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/json.hpp"
 #include "data/dataset.hpp"
 #include "loopback_client.hpp"
 #include "serve/server.hpp"
@@ -154,6 +155,31 @@ TEST_F(GatewayTest, GatewayHealthzAndReplicasReportTheFleet) {
   }
   EXPECT_EQ(entries, 3u) << replicas.body;
   EXPECT_NE(replicas.body.find("\"health\":\"healthy\""), std::string::npos);
+}
+
+TEST(GatewayReplicas, HostWithQuoteAndBackslashStaysValidJson) {
+  // The replica host is operator input; /gateway/replicas must escape it.
+  const std::string host = "ba\"d\\host";
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 1;
+  config.registry.probe_interval_ms = 60000;
+  std::vector<ReplicaEndpoint> endpoints(1);
+  endpoints[0].host = host;
+  endpoints[0].port = 1;
+  Gateway gateway(std::move(endpoints), config);
+  gateway.start();
+  TestClient client(gateway.port());
+  const auto replicas = client.get("/gateway/replicas");
+  ASSERT_EQ(replicas.status, 200);
+  std::string error;
+  const auto doc = mcmm::json_parse(replicas.body, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << replicas.body;
+  const mcmm::JsonValue* list = doc->find("replicas");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->array.size(), 1u);
+  ASSERT_NE(list->array[0].find("host"), nullptr);
+  EXPECT_EQ(list->array[0].find("host")->string, host);
 }
 
 TEST_F(GatewayTest, MetricsExposeGatewayFamilies) {

@@ -1,14 +1,17 @@
 // Replica-registry health tests. The eject/readmit state machine is a pure
 // function of probe outcomes (record_probe), so most tests run without a
-// prober thread; one integration test drives the real prober against a
-// live serve::Server.
+// prober thread; integration tests drive the real prober against a live
+// serve::Server and against stand-ins that answer fixed /healthz bodies.
 #include "gateway/registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -146,6 +149,86 @@ TEST(ReplicaRegistry, LiveProberTracksAServer) {
   EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Ejected);
   EXPECT_EQ(registry.healthy_count(), 0u);
   registry.stop_probing();
+}
+
+/// A replica stand-in whose /healthz always answers 200 with `body`.
+class FixedHealthReplica : public mcmm::serve::HttpListener {
+ public:
+  explicit FixedHealthReplica(std::string body)
+      : HttpListener(listener_config()), body_(std::move(body)) {
+    start();
+  }
+  ~FixedHealthReplica() override {
+    shutdown();
+    join();
+  }
+
+  [[nodiscard]] std::uint64_t probes() const noexcept {
+    return probes_.load();
+  }
+
+ protected:
+  mcmm::serve::Response handle_request(const mcmm::serve::Request&,
+                                       const std::string&) override {
+    mcmm::serve::Response resp;
+    resp.body = body_;
+    probes_.fetch_add(1);
+    return resp;
+  }
+
+ private:
+  static mcmm::serve::ListenerConfig listener_config() {
+    mcmm::serve::ListenerConfig config;
+    config.port = 0;
+    config.threads = 1;
+    return config;
+  }
+
+  std::string body_;
+  std::atomic<std::uint64_t> probes_{0};
+};
+
+/// Runs the prober until `replica` has answered twice; stop_probing()
+/// joins the prober, so both answers are recorded when it returns.
+std::unique_ptr<ReplicaRegistry> probe_twice(
+    const FixedHealthReplica& replica) {
+  RegistryConfig config;
+  config.probe_interval_ms = 10;
+  config.probe_timeout_ms = 250;
+  std::vector<ReplicaEndpoint> eps(1);
+  eps[0].port = replica.port();
+  auto registry = std::make_unique<ReplicaRegistry>(std::move(eps), config);
+  registry->start_probing();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (replica.probes() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  registry->stop_probing();
+  EXPECT_GE(replica.probes(), 2u);
+  return registry;
+}
+
+TEST(ReplicaRegistry, HarvestsOnlyTopLevelHealthMembers) {
+  // A nested "in_flight" ahead of the real one must not be read as the
+  // replica's load.
+  const FixedHealthReplica replica(
+      R"({"note":{"in_flight":99},"pid":7,"in_flight":3})");
+  const auto registry = probe_twice(replica);
+  EXPECT_EQ(registry->at(0).reported_in_flight.load(), 3u);
+  EXPECT_EQ(registry->at(0).pid.load(), 7);
+  EXPECT_EQ(registry->at(0).health.load(), ReplicaHealth::Healthy);
+}
+
+TEST(ReplicaRegistry, NonJsonHealthBodyHarvestsNothing) {
+  // The replica answered 200, so it is alive, but a body that is not a
+  // JSON document reports no load and no pid.
+  const FixedHealthReplica replica(R"("in_flight":5 trailing)");
+  const auto registry = probe_twice(replica);
+  EXPECT_EQ(registry->at(0).reported_in_flight.load(), 0u);
+  EXPECT_EQ(registry->at(0).pid.load(), -1);
+  EXPECT_EQ(registry->at(0).health.load(), ReplicaHealth::Healthy);
 }
 
 TEST(ReplicaHealthNames, ToString) {

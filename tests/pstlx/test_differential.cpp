@@ -224,6 +224,22 @@ double serial_64_chunk_dot(const std::vector<double>& a,
 }
 
 // Named for the stdparx reduce whose chunk order the oracle preserves.
+TEST(PstlxDifferential, DeviceTransformReduceWidensBeforeMultiplying) {
+  // Each product (3e5 * 4e5 = 1.2e11) overflows int; summed into a long,
+  // every product must be formed in long too.
+  constexpr std::size_t n = 1000;
+  const std::vector<int> a(n, 300000);
+  const std::vector<int> b(n, 400000);
+  const auto pol = device_policy();
+  stdparx::device_vector<int> da(pol, n);
+  stdparx::device_vector<int> db(pol, n);
+  da.upload(a.data(), n);
+  db.upload(b.data(), n);
+  EXPECT_EQ(pstlx::transform_reduce(pol, da.begin(), da.end(), db.begin(),
+                                    0L),
+            static_cast<long>(n) * 300000L * 400000L);
+}
+
 TEST(PstlxDifferential, DeviceDoubleReduceBitwiseMatchesStdparx) {
   for (const std::size_t n : {std::size_t{1000}, std::size_t{1} << 20}) {
     SCOPED_TRACE(::testing::Message() << "n=" << n);
