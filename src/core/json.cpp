@@ -9,6 +9,10 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
+/// The single-character escapes and what each one decodes to.
+constexpr std::string_view kEscapes = "\"\\/bfnrt";
+constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+
 /// Cursor over the input with a single-error channel.
 struct Parser {
   std::string_view text;
@@ -122,42 +126,35 @@ bool parse_string(Parser& p, std::string& out) {
       return false;
     }
     const char esc = p.text[p.pos++];
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        std::uint32_t cp = 0;
-        if (!parse_hex4(p, cp)) return false;
-        if (cp >= 0xD800 && cp <= 0xDBFF) {
-          // High surrogate: a low surrogate must follow.
-          if (!p.consume('\\') || !p.consume('u')) {
-            p.fail("lone high surrogate");
-            return false;
-          }
-          std::uint32_t low = 0;
-          if (!parse_hex4(p, low)) return false;
-          if (low < 0xDC00 || low > 0xDFFF) {
-            p.fail("bad low surrogate");
-            return false;
-          }
-          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-          p.fail("lone low surrogate");
-          return false;
-        }
-        append_utf8(out, cp);
-        break;
-      }
-      default:
-        p.fail("unknown escape");
-        return false;
+    const std::size_t k = kEscapes.find(esc);
+    if (k != std::string_view::npos) {
+      out += kDecoded[k];
+      continue;
     }
+    if (esc != 'u') {
+      p.fail("unknown escape");
+      return false;
+    }
+    std::uint32_t cp = 0;
+    if (!parse_hex4(p, cp)) return false;
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      // High surrogate: a low surrogate must follow.
+      if (!p.consume('\\') || !p.consume('u')) {
+        p.fail("lone high surrogate");
+        return false;
+      }
+      std::uint32_t low = 0;
+      if (!parse_hex4(p, low)) return false;
+      if (low < 0xDC00 || low > 0xDFFF) {
+        p.fail("bad low surrogate");
+        return false;
+      }
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+      p.fail("lone low surrogate");
+      return false;
+    }
+    append_utf8(out, cp);
   }
 }
 
@@ -258,8 +255,10 @@ bool parse_value(Parser& p, JsonValue& out, int depth) {
   }
   p.skip_ws();
   switch (p.peek()) {
-    case '{': return parse_object(p, out, depth);
-    case '[': return parse_array(p, out, depth);
+    case '{':
+      return parse_object(p, out, depth);
+    case '[':
+      return parse_array(p, out, depth);
     case '"':
       out.kind = JsonValue::Kind::String;
       return parse_string(p, out.string);
@@ -335,18 +334,14 @@ void json_escape(std::string& out, std::string_view in) {
     out.append(in.data() + run, i - run);
     run = i + 1;
     out += '\\';
-    switch (c) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '\b': out += 'b'; break;
-      case '\f': out += 'f'; break;
-      case '\n': out += 'n'; break;
-      case '\r': out += 'r'; break;
-      case '\t': out += 't'; break;
-      default:
-        out += "u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xF];
+    if (c == '"' || c == '\\') {
+      out += static_cast<char>(c);
+    } else if (c >= '\b' && c <= '\r' && c != '\v') {
+      out += "btn?fr"[c - '\b'];  // \b \t \n \f \r (\v has no short form)
+    } else {
+      out += "u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
     }
   }
   out.append(in.data() + run, in.size() - run);

@@ -140,6 +140,7 @@ Response Gateway::handle_gateway_healthz() {
 }
 
 Response Gateway::handle_gateway_replicas() {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   const std::int64_t now_ms = steady_now_ms();
   Response resp;
   JsonWriter w(resp.body);
@@ -161,12 +162,11 @@ Response Gateway::handle_gateway_replicas() {
     w.begin_object();
     w.key("host").str(r.endpoint.host);
     w.key("port").integer(r.endpoint.port);
-    w.key("pid").integer(r.pid.load(std::memory_order_relaxed));
-    w.key("health").str(to_string(r.health.load(std::memory_order_relaxed)));
+    w.key("pid").integer(r.pid.load(kRelaxed));
+    w.key("health").str(to_string(r.health.load(kRelaxed)));
     w.key("breaker").str(breaker);
-    w.key("in_flight").integer(r.in_flight.load(std::memory_order_relaxed));
-    w.key("reported_in_flight")
-        .integer(r.reported_in_flight.load(std::memory_order_relaxed));
+    w.key("in_flight").integer(r.in_flight.load(kRelaxed));
+    w.key("reported_in_flight").integer(r.reported_in_flight.load(kRelaxed));
     w.end_object();
   }
   w.end_array().end_object();

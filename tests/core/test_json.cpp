@@ -1,7 +1,12 @@
 // Tests for core/json: escaping (every dataset description must survive a
-// round trip), the strict parser, and its adversarial inputs.
+// round trip), the writer's layouts, the strict parser, and its
+// adversarial inputs. Seeded fuzzing lives in test_json_fuzz.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "data/dataset.hpp"
@@ -13,6 +18,7 @@ using mcmm::json_escape;
 using mcmm::json_parse;
 using mcmm::json_quote;
 using mcmm::JsonValue;
+using mcmm::JsonWriter;
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");
@@ -28,6 +34,81 @@ TEST(JsonEscape, AppendsWithoutClobbering) {
   std::string out = "prefix:";
   json_escape(out, "x\"y");
   EXPECT_EQ(out, "prefix:x\\\"y");
+}
+
+TEST(JsonEscape, ControlCharactersUseTheShortFormWhereOneExists) {
+  EXPECT_EQ(json_quote("\b\f\n\r\t"), R"("\b\f\n\r\t")");
+  for (int c = 0; c < 0x20; ++c) {
+    if (c >= '\b' && c <= '\r' && c != '\v') continue;  // the short forms
+    char want[16];
+    std::snprintf(want, sizeof want, "\"\\u%04x\"", c);
+    EXPECT_EQ(json_quote(std::string(1, static_cast<char>(c))), want) << c;
+  }
+  EXPECT_EQ(json_quote("\x7f/"), "\"\x7f/\"");  // DEL and '/' pass through
+}
+
+TEST(JsonWriter, CompactAndSpacedSeparators) {
+  const auto write = [](JsonWriter::Style style) {
+    std::string out;
+    JsonWriter w(out, style);
+    w.begin_object().key("a").integer(1).key("b").begin_array();
+    w.str("x").boolean(true).null().end_array();
+    w.key("c").begin_object().end_object().end_object();
+    return out;
+  };
+  EXPECT_EQ(write(JsonWriter::Style::Compact),
+            "{\"a\":1,\"b\":[\"x\",true,null],\"c\":{}}\n");
+  EXPECT_EQ(write(JsonWriter::Style::Spaced),
+            "{\"a\": 1, \"b\": [\"x\", true, null], \"c\": {}}\n");
+}
+
+TEST(JsonWriter, OnePerLineContainersIndentByDepth) {
+  constexpr auto kLines = JsonWriter::Layout::Lines;
+  std::string spaced;
+  JsonWriter w(spaced, JsonWriter::Style::Spaced);
+  w.begin_object(kLines).key("rows").begin_array(kLines);
+  w.begin_object().key("n").integer(-7).end_object();
+  w.begin_object().key("n").integer(8u).end_object();
+  w.end_array().key("empty").begin_array(kLines).end_array().end_object();
+  EXPECT_EQ(spaced,
+            "{\n"
+            "  \"rows\": [\n"
+            "    {\"n\": -7},\n"
+            "    {\"n\": 8}\n"
+            "  ],\n"
+            "  \"empty\": [\n"
+            "  ]\n"
+            "}\n");
+  // Compact style breaks lines the same way but never indents.
+  std::string compact;
+  JsonWriter c(compact);
+  c.begin_object().key("events").begin_array(kLines);
+  c.integer(1).integer(2).end_array().end_object();
+  EXPECT_EQ(compact, "{\"events\":[\n1,\n2\n]}\n");
+}
+
+TEST(JsonWriter, NumberText) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_array().fixed(1.5).fixed(2.25, 0).general(0.000117546);
+  w.general(75042.0).fixed(std::numeric_limits<double>::infinity());
+  w.general(std::nan("")).end_array();
+  EXPECT_EQ(out, "[1.500000,2,0.000117546,75042,null,null]\n");
+  EXPECT_TRUE(json_parse(out).has_value());
+}
+
+TEST(JsonValue, FindIntegerReadsOnlyExactTopLevelIntegers) {
+  const auto doc = json_parse(
+      R"({"n": 42, "neg": -3, "frac": 1.5, "big": 1e300, "s": "7",
+          "nested": {"m": 1}})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->find_integer("n"), 42);
+  EXPECT_EQ(doc->find_integer("neg"), -3);
+  EXPECT_EQ(doc->find_integer("frac"), std::nullopt);
+  EXPECT_EQ(doc->find_integer("big"), std::nullopt);
+  EXPECT_EQ(doc->find_integer("s"), std::nullopt);
+  EXPECT_EQ(doc->find_integer("m"), std::nullopt);
+  EXPECT_EQ(doc->find_integer("missing"), std::nullopt);
 }
 
 TEST(JsonRoundTrip, EveryDatasetDescriptionSurvives) {
