@@ -6,13 +6,11 @@
 //   MCMM_UPDATE_GOLDEN=1 ./test_render --gtest_filter='GoldenRender.*'
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "data/dataset.hpp"
 #include "render/render.hpp"
+#include "support/golden.hpp"
 
 #ifndef MCMM_GOLDEN_DIR
 #error "MCMM_GOLDEN_DIR must point at tests/render/golden"
@@ -22,39 +20,9 @@ namespace {
 
 using mcmm::data::paper_matrix;
 
-std::string golden_path(const char* file) {
-  return std::string(MCMM_GOLDEN_DIR) + "/" + file;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 void check_golden(const char* file, const std::string& actual) {
-  const std::string path = golden_path(file);
-  if (std::getenv("MCMM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty()) << "missing golden file " << path;
-  if (expected == actual) return;
-  std::size_t i = 0;
-  while (i < expected.size() && i < actual.size() && expected[i] == actual[i]) {
-    ++i;
-  }
-  const std::size_t from = i > 40 ? i - 40 : 0;
-  FAIL() << file << " drifted from its golden render at byte " << i
-         << " (expected " << expected.size() << " bytes, got "
-         << actual.size() << ")\n"
-         << "got:      ..." << actual.substr(from, 80) << "...\n"
-         << "expected: ..." << expected.substr(from, 80) << "...\n"
-         << "If the change is intentional, rerun with MCMM_UPDATE_GOLDEN=1.";
+  mcmm::testing::check_golden(std::string(MCMM_GOLDEN_DIR) + "/" + file,
+                              actual);
 }
 
 TEST(GoldenRender, Figure1Text) {

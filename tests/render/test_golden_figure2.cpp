@@ -9,13 +9,11 @@
 // GET /v1/perf?format=txt body in CI.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "perfport/perfport.hpp"
 #include "render/perf.hpp"
+#include "support/golden.hpp"
 
 #ifndef MCMM_GOLDEN_DIR
 #error "MCMM_GOLDEN_DIR must point at tests/render/golden"
@@ -23,46 +21,12 @@
 
 namespace {
 
-std::string golden_path(const char* file) {
-  return std::string(MCMM_GOLDEN_DIR) + "/" + file;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void check_golden(const char* file, const std::string& actual) {
-  const std::string path = golden_path(file);
-  if (std::getenv("MCMM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty()) << "missing golden file " << path;
-  if (expected == actual) return;
-  std::size_t i = 0;
-  while (i < expected.size() && i < actual.size() && expected[i] == actual[i]) {
-    ++i;
-  }
-  const std::size_t from = i > 40 ? i - 40 : 0;
-  FAIL() << file << " drifted from its golden render at byte " << i
-         << " (expected " << expected.size() << " bytes, got "
-         << actual.size() << ")\n"
-         << "got:      ..." << actual.substr(from, 80) << "...\n"
-         << "expected: ..." << expected.substr(from, 80) << "...\n"
-         << "If the change is intentional, rerun with MCMM_UPDATE_GOLDEN=1.";
-}
-
 TEST(GoldenFigure2, DefaultCampaignTextIsByteStable) {
   // The full default ladder (the same config `mcmm perfbench` and
   // GET /v1/perf use) — a few seconds of simulated kernels.
   const mcmm::perfport::PerfReport report = mcmm::perfport::run_campaign();
-  check_golden("figure2.txt", mcmm::render::figure2_text(report));
+  mcmm::testing::check_golden(std::string(MCMM_GOLDEN_DIR) + "/figure2.txt",
+                              mcmm::render::figure2_text(report));
 }
 
 }  // namespace
