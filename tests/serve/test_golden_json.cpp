@@ -37,9 +37,9 @@ Response get(const Api& api, const std::string& target) {
 
 Response post_plan(const std::string& body) {
   static const Api api(mcmm::data::paper_matrix());
-  return api.handle(make_request(
-      "POST /v1/plan HTTP/1.1\r\nContent-Length: " +
-      std::to_string(body.size()) + "\r\n\r\n" + body));
+  const std::string wire = "POST /v1/plan HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(body.size()) + "\r\n\r\n" + body;
+  return api.handle(make_request(wire));
 }
 
 /// The reduced campaign of tests/perfport/test_determinism.cpp: every
