@@ -1,23 +1,8 @@
 #include "gateway/metrics.hpp"
 
-#include <cstdio>
-
 #include "gateway/registry.hpp"
 
 namespace mcmm::gateway {
-
-void UpstreamStats::record(bool success, std::uint64_t micros) noexcept {
-  (success ? ok : error).fetch_add(1, std::memory_order_relaxed);
-  std::size_t bucket = kBucketMicros.size();  // +Inf
-  for (std::size_t i = 0; i < kBucketMicros.size(); ++i) {
-    if (micros <= kBucketMicros[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  latency_sum_micros.fetch_add(micros, std::memory_order_relaxed);
-}
 
 GatewayMetrics::GatewayMetrics(std::size_t upstream_count) {
   upstreams_.reserve(upstream_count);
@@ -62,41 +47,10 @@ std::string GatewayMetrics::prometheus_text(
       "# HELP mcmm_gateway_upstream_duration_seconds Upstream exchange "
       "latency per replica.\n"
       "# TYPE mcmm_gateway_upstream_duration_seconds histogram\n";
-  char label[32];
   for (std::size_t i = 0; i < upstreams_.size(); ++i) {
-    const UpstreamStats& s = *upstreams_[i];
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < UpstreamStats::kBucketMicros.size(); ++b) {
-      cumulative += s.buckets[b].load(std::memory_order_relaxed);
-      std::snprintf(label, sizeof label, "%g",
-                    static_cast<double>(UpstreamStats::kBucketMicros[b]) /
-                        1e6);
-      out += "mcmm_gateway_upstream_duration_seconds_bucket{upstream=\"" +
-             upstream_label(i) + "\",le=\"";
-      out += label;
-      out += "\"} ";
-      out += std::to_string(cumulative);
-      out += '\n';
-    }
-    cumulative += s.buckets[UpstreamStats::kBucketMicros.size()].load(
-        std::memory_order_relaxed);
-    out += "mcmm_gateway_upstream_duration_seconds_bucket{upstream=\"" +
-           upstream_label(i) + "\",le=\"+Inf\"} ";
-    out += std::to_string(cumulative);
-    out += '\n';
-    std::snprintf(
-        label, sizeof label, "%.6f",
-        static_cast<double>(
-            s.latency_sum_micros.load(std::memory_order_relaxed)) /
-            1e6);
-    out += "mcmm_gateway_upstream_duration_seconds_sum{upstream=\"" +
-           upstream_label(i) + "\"} ";
-    out += label;
-    out += '\n';
-    out += "mcmm_gateway_upstream_duration_seconds_count{upstream=\"" +
-           upstream_label(i) + "\"} ";
-    out += std::to_string(cumulative);
-    out += '\n';
+    upstreams_[i]->latency.append_prometheus(
+        out, "mcmm_gateway_upstream_duration_seconds",
+        "upstream=\"" + upstream_label(i) + "\",");
   }
 
   const auto counter = [&out](const char* name, const char* help,

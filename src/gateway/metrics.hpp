@@ -5,31 +5,30 @@
 // outcomes and latency, plus retry / hedge / breaker / ejection counters.
 // GET /metrics on the gateway emits both families in one document.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/histogram.hpp"
 #include "serve/metrics.hpp"
 
 namespace mcmm::gateway {
 
 class ReplicaRegistry;
 
-/// Outcome + latency counters for one upstream replica. Lock-free, same
-/// bucket bounds as the serve-side histogram.
+/// Outcome counters and latency for one upstream replica. Lock-free; the
+/// histogram is the one the serve side uses, so the bounds agree.
 struct UpstreamStats {
-  static constexpr std::array<std::uint64_t, 7> kBucketMicros{
-      100, 500, 1000, 5000, 25000, 100000, 1000000};
-
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> error{0};
-  std::array<std::atomic<std::uint64_t>, kBucketMicros.size() + 1> buckets{};
-  std::atomic<std::uint64_t> latency_sum_micros{0};
+  LatencyHistogram latency;
 
-  void record(bool success, std::uint64_t micros) noexcept;
+  void record(bool success, std::uint64_t micros) noexcept {
+    (success ? ok : error).fetch_add(1, std::memory_order_relaxed);
+    latency.record(micros);
+  }
 };
 
 class GatewayMetrics {

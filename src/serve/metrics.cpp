@@ -1,7 +1,5 @@
 #include "serve/metrics.hpp"
 
-#include <cstdio>
-
 namespace mcmm::serve {
 
 void Metrics::record_request(int status, std::uint64_t micros) noexcept {
@@ -13,17 +11,7 @@ void Metrics::record_request(int status, std::uint64_t micros) noexcept {
     }
   }
   by_status_[slot].fetch_add(1, std::memory_order_relaxed);
-
-  std::size_t bucket = kBucketMicros.size();  // +Inf
-  for (std::size_t i = 0; i < kBucketMicros.size(); ++i) {
-    if (micros <= kBucketMicros[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  latency_sum_micros_.fetch_add(micros, std::memory_order_relaxed);
-  latency_count_.fetch_add(1, std::memory_order_relaxed);
+  latency_.record(micros);
 }
 
 void Metrics::record_endpoint(std::string_view path) noexcept {
@@ -110,31 +98,7 @@ std::string Metrics::prometheus_text() const {
   out +=
       "# HELP mcmm_http_request_duration_seconds Request handling latency.\n"
       "# TYPE mcmm_http_request_duration_seconds histogram\n";
-  std::uint64_t cumulative = 0;
-  char label[32];
-  for (std::size_t i = 0; i < kBucketMicros.size(); ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    std::snprintf(label, sizeof label, "%g",
-                  static_cast<double>(kBucketMicros[i]) / 1e6);
-    out += "mcmm_http_request_duration_seconds_bucket{le=\"";
-    out += label;
-    out += "\"} ";
-    out += std::to_string(cumulative);
-    out += '\n';
-  }
-  cumulative += buckets_[kBucketMicros.size()].load(std::memory_order_relaxed);
-  out += "mcmm_http_request_duration_seconds_bucket{le=\"+Inf\"} ";
-  out += std::to_string(cumulative);
-  out += '\n';
-  const auto sum_micros = latency_sum_micros_.load(std::memory_order_relaxed);
-  std::snprintf(label, sizeof label, "%.6f",
-                static_cast<double>(sum_micros) / 1e6);
-  out += "mcmm_http_request_duration_seconds_sum ";
-  out += label;
-  out += '\n';
-  out += "mcmm_http_request_duration_seconds_count ";
-  out += std::to_string(latency_count_.load(std::memory_order_relaxed));
-  out += '\n';
+  latency_.append_prometheus(out, "mcmm_http_request_duration_seconds");
 
   if (loop_ != nullptr) {
     const LoopStats ls = snapshot(*loop_);

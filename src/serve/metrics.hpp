@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/histogram.hpp"
 #include "serve/event_loop.hpp"
 
 namespace mcmm::serve {
@@ -65,17 +66,12 @@ class Metrics {
   static constexpr std::array<std::string_view, 8> kEndpoints{
       "/",         "/healthz",  "/metrics", "/v1/matrix",
       "/v1/cell",  "/v1/plan",  "/v1/claims", "/v1/perf"};
-  /// Histogram bucket upper bounds, microseconds (+Inf is implicit).
-  static constexpr std::array<std::uint64_t, 7> kBucketMicros{
-      100, 500, 1000, 5000, 25000, 100000, 1000000};
 
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> in_flight_{0};
   std::array<std::atomic<std::uint64_t>, kStatusCodes.size() + 1> by_status_{};
   std::array<std::atomic<std::uint64_t>, kEndpoints.size() + 1> by_endpoint_{};
-  std::array<std::atomic<std::uint64_t>, kBucketMicros.size() + 1> buckets_{};
-  std::atomic<std::uint64_t> latency_sum_micros_{0};
-  std::atomic<std::uint64_t> latency_count_{0};
+  LatencyHistogram latency_;
   const LoopCounters* loop_{nullptr};
 };
 
