@@ -2,8 +2,7 @@
 // txt form is compared byte-for-byte against its committed golden and the
 // serve layer caches every form with a strong ETag.
 
-#include <cstdio>
-
+#include "core/json.hpp"
 #include "render/perf.hpp"
 
 namespace mcmm::render {
@@ -12,12 +11,6 @@ namespace {
 using perfport::PerfCell;
 using perfport::PerfReport;
 using perfport::PerfRow;
-
-[[nodiscard]] std::string fixed(double v, int decimals = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
 
 [[nodiscard]] std::string pad_left(std::string s, std::size_t width) {
   if (s.size() < width) s.insert(0, width - s.size(), ' ');
@@ -30,7 +23,7 @@ using perfport::PerfRow;
 }
 
 [[nodiscard]] std::string cell_text(const PerfCell& c) {
-  return c.supported ? fixed(c.efficiency) : std::string("-");
+  return c.supported ? fixed_text(c.efficiency, 3) : std::string("-");
 }
 
 /// Weak-scaling appendix (text form), present only when the report
@@ -54,9 +47,9 @@ using perfport::PerfRow;
   for (const perfport::WeakScalingSample& w : r.weak_scaling) {
     out += pad_right(std::string(to_string(w.vendor)), 10);
     out += pad_left(std::to_string(w.devices), 9);
-    out += pad_left(fixed(w.sim_us, 1), 14);
-    out += pad_left(fixed(w.p2p_us, 3), 10);
-    out += pad_left(fixed(w.efficiency), 8);
+    out += pad_left(fixed_text(w.sim_us, 1), 14);
+    out += pad_left(fixed_text(w.p2p_us, 3), 10);
+    out += pad_left(fixed_text(w.efficiency, 3), 8);
     out += "\n";
   }
   return out;
@@ -103,7 +96,7 @@ std::string figure2_text(const PerfReport& r) {
     for (const PerfCell& c : row.cells) {
       out += pad_left(cell_text(c), kCellW);
     }
-    out += pad_left(fixed(row.pp), kCellW);
+    out += pad_left(fixed_text(row.pp, 3), kCellW);
     out += "\n";
   }
   out += weak_scaling_text(r);
@@ -130,7 +123,7 @@ std::string figure2_markdown(const PerfReport& r) {
     for (const PerfCell& c : row.cells) {
       out.append(" ").append(cell_text(c)).append(" |");
     }
-    out.append(" ").append(fixed(row.pp)).append(" |\n");
+    out.append(" ").append(fixed_text(row.pp, 3)).append(" |\n");
   }
   if (!r.weak_scaling.empty()) {
     out += "\n## Weak scaling (graph replay)\n\n";
@@ -144,9 +137,9 @@ std::string figure2_markdown(const PerfReport& r) {
     for (const perfport::WeakScalingSample& w : r.weak_scaling) {
       out.append("| ").append(to_string(w.vendor)).append(" | ");
       out.append(std::to_string(w.devices)).append(" | ");
-      out.append(fixed(w.sim_us, 1)).append(" | ");
-      out.append(fixed(w.p2p_us, 3)).append(" | ");
-      out.append(fixed(w.efficiency)).append(" |\n");
+      out.append(fixed_text(w.sim_us, 1)).append(" | ");
+      out.append(fixed_text(w.p2p_us, 3)).append(" | ");
+      out.append(fixed_text(w.efficiency, 3)).append(" |\n");
     }
   }
   return out;
@@ -160,9 +153,9 @@ std::string figure2_csv(const PerfReport& r) {
       out += std::string(to_string(row.model)) + ',' +
              std::string(to_string(row.kernel)) + ',' +
              std::string(to_string(c.vendor)) + ',' +
-             (c.supported ? "1" : "0") + ',' + fixed(c.efficiency, 6) +
-             ',' + c.route + ',' + fixed(c.achieved_gbps, 6) + ',' +
-             fixed(row.pp, 6) + "\n";
+             (c.supported ? "1" : "0") + ',' + fixed_text(c.efficiency, 6) +
+             ',' + c.route + ',' + fixed_text(c.achieved_gbps, 6) + ',' +
+             fixed_text(row.pp, 6) + "\n";
     }
   }
   return out;
@@ -195,12 +188,11 @@ std::string figure2_html(const PerfReport& r) {
            "</td><td class=\"name\">" +
            std::string(to_string(row.kernel)) + "</td>";
     for (const PerfCell& c : row.cells) {
-      out += c.supported
-                 ? "<td title=\"" + c.route + "\">" + fixed(c.efficiency) +
-                       "</td>"
-                 : std::string("<td class=\"unsupported\">-</td>");
+      out += c.supported ? "<td title=\"" + c.route + "\">" +
+                               fixed_text(c.efficiency, 3) + "</td>"
+                         : std::string("<td class=\"unsupported\">-</td>");
     }
-    out += "<td>" + fixed(row.pp) + "</td></tr>\n";
+    out += "<td>" + fixed_text(row.pp, 3) + "</td></tr>\n";
   }
   out += "</table>\n</body>\n</html>\n";
   return out;
@@ -219,10 +211,10 @@ std::string figure2_latex(const PerfReport& r) {
     out += std::string(to_string(row.model)) + " & " +
            std::string(to_string(row.kernel));
     for (const PerfCell& c : row.cells) {
-      out += " & " + (c.supported ? fixed(c.efficiency)
+      out += " & " + (c.supported ? fixed_text(c.efficiency, 3)
                                   : std::string("--"));
     }
-    out += " & " + fixed(row.pp) + " \\\\\n";
+    out += " & " + fixed_text(row.pp, 3) + " \\\\\n";
   }
   out += "\\hline\n\\end{tabular}\n";
   return out;
@@ -240,13 +232,13 @@ std::string figure2_yaml(const PerfReport& r) {
   for (const PerfRow& row : r.rows) {
     out += "    - model: " + std::string(to_string(row.model)) + "\n";
     out += "      kernel: " + std::string(to_string(row.kernel)) + "\n";
-    out += "      pp: " + fixed(row.pp, 6) + "\n";
+    out += "      pp: " + fixed_text(row.pp, 6) + "\n";
     out += "      cells:\n";
     for (const PerfCell& c : row.cells) {
       out += "        - vendor: " + std::string(to_string(c.vendor)) +
              "\n          supported: " +
              (c.supported ? "true" : "false") +
-             "\n          efficiency: " + fixed(c.efficiency, 6) + "\n";
+             "\n          efficiency: " + fixed_text(c.efficiency, 6) + "\n";
       if (c.supported) {
         out += "          route: " + c.route + "\n";
       }
