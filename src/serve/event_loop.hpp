@@ -35,9 +35,9 @@ struct LoopCounters {
   std::atomic<std::uint64_t> open_connections{0};   ///< live sockets (gauge)
   std::atomic<std::uint64_t> wakeups_total{0};      ///< epoll_wait returns
   std::atomic<std::uint64_t> accepts_total{0};      ///< accept4 successes
-  std::atomic<std::uint64_t> dispatches_total{0};   ///< ready-events handed off
+  std::atomic<std::uint64_t> dispatches_total{0};   ///< handed to the pool
   std::atomic<std::uint64_t> epollout_rearms_total{0};  ///< partial writes
-  std::atomic<std::uint64_t> timer_evictions_total{0};  ///< wheel-expired conns
+  std::atomic<std::uint64_t> timer_evictions_total{0};  ///< wheel evictions
 };
 
 /// Plain snapshot of LoopCounters for metrics rendering.

@@ -442,8 +442,8 @@ void HttpListener::conn_timer_fired(Connection* c) {
   const std::int64_t now = loop_.now_ms();
   if (st == kStReading) {
     const bool mid = c->parser.mid_request();
-    const std::int64_t timeout =
-        std::max(mid ? config_.request_timeout_ms : config_.idle_timeout_ms, 1);
+    const std::int64_t timeout = std::max(
+        mid ? config_.request_timeout_ms : config_.idle_timeout_ms, 1);
     const std::int64_t due =
         c->last_activity.load(std::memory_order_relaxed) + timeout;
     if (now >= due) {
