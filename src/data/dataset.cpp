@@ -1,15 +1,13 @@
 #include "data/dataset.hpp"
 
+#include <string>
+
+#include "yamlx/matrix_yaml.hpp"
+
 namespace mcmm::data {
 
 CompatibilityMatrix build_paper_matrix() {
-  CompatibilityMatrix m;
-  detail::add_descriptions(m);
-  detail::add_nvidia_entries(m);
-  detail::add_amd_entries(m);
-  detail::add_intel_entries(m);
-  m.validate();
-  return m;
+  return yamlx::matrix_from_yaml_text(std::string(paper_matrix_yaml()));
 }
 
 const CompatibilityMatrix& paper_matrix() {

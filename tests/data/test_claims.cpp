@@ -60,19 +60,16 @@ TEST(Claims, UnknownIdThrows) {
 }
 
 TEST(Claims, ClaimFailsOnTamperedMatrix) {
-  // Sanity check that claims are actually sensitive to the data: drop
-  // OpenMP Fortran support on Intel and 'openmp-everywhere' must fail.
-  CompatibilityMatrix m;
-  data::detail::add_descriptions(m);
-  data::detail::add_nvidia_entries(m);
-  data::detail::add_amd_entries(m);
-  // Intel entries, but with OpenMP/Fortran demoted to None. Rebuild the
-  // Intel row from the real dataset, patching the one cell.
+  // Sanity check that claims are actually sensitive to the data: copy the
+  // paper dataset with OpenMP Fortran support on Intel demoted to None, and
+  // 'openmp-everywhere' must fail.
   const CompatibilityMatrix& real = data::paper_matrix();
-  for (const SupportEntry* e : real.by_vendor(Vendor::Intel)) {
+  CompatibilityMatrix m;
+  for (const Description* d : real.descriptions()) m.add_description(*d);
+  for (const SupportEntry* e : real.entries()) {
     SupportEntry copy = *e;
-    if (copy.combo.model == Model::OpenMP &&
-        copy.combo.language == Language::Fortran) {
+    if (copy.combo == Combination{Vendor::Intel, Model::OpenMP,
+                                  Language::Fortran}) {
       copy.ratings = {Rating{SupportCategory::None, Provider::Nobody, "t"}};
       copy.routes.clear();
     }

@@ -7,6 +7,8 @@
 
 #include <set>
 
+#include "yamlx/matrix_yaml.hpp"
+
 namespace mcmm {
 namespace {
 
@@ -29,6 +31,15 @@ TEST(Dataset, BuildIsRepeatable) {
     EXPECT_EQ(e->ratings, other->ratings) << to_string(e->combo);
     EXPECT_EQ(e->description_id, other->description_id);
   }
+}
+
+// The committed gpu_compat.yaml is exactly what the emitter writes for the
+// matrix it parses to, so a hand edit the emitter would not reproduce
+// (reordered keys, changed quoting, comments) fails here, and `mcmm
+// export` reproduces the file byte for byte.
+TEST(Dataset, CommittedYamlIsCanonical) {
+  EXPECT_EQ(yamlx::matrix_to_yaml_text(paper_matrix()),
+            data::paper_matrix_yaml());
 }
 
 TEST(Dataset, EveryVendorHas17Cells) {
