@@ -21,6 +21,10 @@ struct Line {
 [[nodiscard]] std::string strip_comment(std::string_view s, int line) {
   std::string out;
   char quote = '\0';
+  // A quote only opens a quoted scalar where a scalar starts: at the start
+  // of the content, after a "- " item marker or after a ": " separator.
+  // Inside a plain scalar ("AMD's", `say "hi`) quotes are content.
+  bool token_start = true;
   for (std::size_t i = 0; i < s.size(); ++i) {
     const char c = s[i];
     if (quote != '\0') {
@@ -37,12 +41,9 @@ struct Line {
       }
       continue;
     }
-    // A quote only opens a quoted scalar at the start of a token (start of
-    // line or after whitespace); a mid-word apostrophe ("AMD's") is plain
-    // scalar content.
-    if ((c == '\'' || c == '"') &&
-        (i == 0 || s[i - 1] == ' ' || s[i - 1] == '\t')) {
+    if (token_start && (c == '\'' || c == '"')) {
       quote = c;
+      token_start = false;
       out += c;
       continue;
     }
@@ -50,6 +51,13 @@ struct Line {
       break;  // comment until end of line
     }
     out += c;
+    const bool before_space = i + 1 == s.size() || s[i + 1] == ' ';
+    if ((c == '-' && token_start && before_space) ||
+        (c == ':' && before_space)) {
+      token_start = true;
+    } else if (c != ' ') {
+      token_start = false;
+    }
   }
   if (quote != '\0') throw ParseError("unterminated quoted scalar", line);
   // Trim trailing whitespace.
@@ -134,21 +142,24 @@ struct Line {
   return std::string(s);
 }
 
-/// Finds the position of the `: ` key separator outside quotes; npos if the
-/// content is not a mapping entry.
+/// Finds the position of the `: ` key separator after the key token (a
+/// quoted key is skipped whole, escapes included); npos if the content is
+/// not a mapping entry.
 [[nodiscard]] std::size_t find_key_separator(std::string_view s) {
-  char quote = '\0';
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (quote != '\0') {
-      if (c == quote) quote = '\0';
-      continue;
+  std::size_t i = 0;
+  if (!s.empty() && (s.front() == '\'' || s.front() == '"')) {
+    const char quote = s.front();
+    for (i = 1; i < s.size(); ++i) {
+      if (quote == '"' && s[i] == '\\') {
+        ++i;
+      } else if (s[i] == quote) {
+        if (quote == '"' || i + 1 == s.size() || s[i + 1] != '\'') break;
+        ++i;  // '' inside a single-quoted key
+      }
     }
-    if (c == '\'' || c == '"') {
-      quote = c;
-      continue;
-    }
-    if (c == ':' && (i + 1 == s.size() || s[i + 1] == ' ')) return i;
+  }
+  for (; i < s.size(); ++i) {
+    if (s[i] == ':' && (i + 1 == s.size() || s[i + 1] == ' ')) return i;
   }
   return std::string_view::npos;
 }
@@ -204,8 +215,7 @@ class Parser {
       const std::string_view rest =
           std::string_view(item.content).substr(2);
       const std::size_t sep = find_key_separator(rest);
-      if (sep != std::string_view::npos && rest.front() != '\'' &&
-          rest.front() != '"') {
+      if (sep != std::string_view::npos) {
         // "- key: value" starts an inline mapping whose keys sit at the
         // column of `rest`.
         const int map_indent = indent + 2;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
+#include <string_view>
 
 #include "yamlx/emit.hpp"
 #include "yamlx/matrix_yaml.hpp"
@@ -134,6 +136,69 @@ TEST(YamlFuzz, DeepNestingDoesNotOverflow) {
     cursor = &cursor->at("k");
   }
   EXPECT_EQ(cursor->at("leaf").as_int(), 1);
+}
+
+// --- emit -> parse identity on random node trees ---
+
+/// Scalar pieces: the characters the emitter has to quote (':', '#',
+/// quotes, a leading '-'), whitespace and escapes, YAML indicators, and
+/// two-, three- and four-byte UTF-8.
+constexpr std::string_view kScalarPieces[] = {
+    "a",  "Z",    "7", " ",   ":",  ": ", "#",   " #", "\"",         "'",
+    "-",  "- ",   "\\", "\t", "\n", "?",  "&",   "*",  "!",          "|",
+    ">",  "%",    "@", "[",   "]",  "{",  "}",   ",",  "---",        "\xc3\xa9",
+    "\xe2\x82\xac", "\xf0\x9f\x98\x80"};
+
+/// Zero to five pieces; zero gives the empty scalar.
+[[nodiscard]] std::string random_scalar(Rng& rng) {
+  std::string s;
+  for (std::size_t n = rng.below(6); n > 0; --n) {
+    s += kScalarPieces[rng.below(std::size(kScalarPieces))];
+  }
+  return s;
+}
+
+/// A non-empty sequence or mapping (an empty container re-parses as an
+/// empty scalar, which the emitter documents) with unique keys; children
+/// nest up to `depth` more levels.
+[[nodiscard]] Node random_container(Rng& rng, int depth);
+
+[[nodiscard]] Node random_node(Rng& rng, int depth) {
+  if (depth == 0 || rng.below(3) == 0) return Node::scalar(random_scalar(rng));
+  return random_container(rng, depth - 1);
+}
+
+Node random_container(Rng& rng, int depth) {
+  const std::size_t size = 1 + rng.below(4);
+  if (rng.below(2) == 0) {
+    Node seq = Node::sequence();
+    while (seq.size() < size) seq.push_back(random_node(rng, depth));
+    return seq;
+  }
+  Node map = Node::mapping();
+  while (map.size() < size) {
+    std::string key = random_scalar(rng);
+    if (map.find(key) == nullptr) {
+      map.set(std::move(key), random_node(rng, depth));
+    }
+  }
+  return map;
+}
+
+TEST(YamlFuzz, EmitParseIdentityOnRandomTrees) {
+  Rng rng(0x59A3'1C0D'E5EEDull);
+  for (int round = 0; round < 3000; ++round) {
+    const Node tree = random_container(rng, static_cast<int>(rng.below(4)));
+    const std::string text = emit(tree);
+    Node back;
+    try {
+      back = parse(text);
+    } catch (const ParseError& e) {
+      FAIL() << "round " << round << ": " << e.what() << "\n" << text;
+    }
+    ASSERT_EQ(back, tree) << "round " << round << ":\n" << text;
+    ASSERT_EQ(emit(back), text) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -104,6 +104,26 @@ TEST(Parse, ColonInsideValueIsAllowed) {
   EXPECT_EQ(n.at("url").as_string(), "https://example.com/x");
 }
 
+// The emitter writes all three of these; each used to fail to parse.
+TEST(Parse, QuotedFirstKeyOfSequenceItem) {
+  const Node n = parse("- \"a: b\": 1\n  c: 2\n- \"x\"\n");
+  ASSERT_TRUE(n.is_sequence());
+  EXPECT_EQ(n.as_sequence()[0].at("a: b").as_int(), 1);
+  EXPECT_EQ(n.as_sequence()[0].at("c").as_int(), 2);
+  EXPECT_EQ(n.as_sequence()[1].as_string(), "x");
+}
+
+TEST(Parse, QuotesInsidePlainScalarsAreContent) {
+  const Node n = parse("it's: say \"hi\nk\"ey: a 'b\n");
+  EXPECT_EQ(n.at("it's").as_string(), "say \"hi");
+  EXPECT_EQ(n.at("k\"ey").as_string(), "a 'b");
+}
+
+TEST(Parse, EscapedQuoteInsideQuotedKey) {
+  const Node n = parse("\"q\\\": x\": v\n");
+  EXPECT_EQ(n.at("q\": x").as_string(), "v");
+}
+
 TEST(Parse, DeepNesting) {
   const Node n = parse(
       "a:\n"
