@@ -1,13 +1,11 @@
 #include "data/dataset.hpp"
 
-#include <string>
-
 #include "yamlx/matrix_yaml.hpp"
 
 namespace mcmm::data {
 
 CompatibilityMatrix build_paper_matrix() {
-  return yamlx::matrix_from_yaml_text(std::string(paper_matrix_yaml()));
+  return yamlx::matrix_from_yaml_text(paper_matrix_yaml());
 }
 
 const CompatibilityMatrix& paper_matrix() {

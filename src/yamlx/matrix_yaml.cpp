@@ -159,7 +159,7 @@ std::string matrix_to_yaml_text(const CompatibilityMatrix& m) {
   return emit(matrix_to_yaml(m));
 }
 
-CompatibilityMatrix matrix_from_yaml_text(const std::string& s) {
+CompatibilityMatrix matrix_from_yaml_text(std::string_view s) {
   return matrix_from_yaml(parse(s));
 }
 

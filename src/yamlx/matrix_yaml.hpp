@@ -4,6 +4,7 @@
 // exported to YAML, edited, and re-imported (with validation).
 
 #include <string>
+#include <string_view>
 
 #include "core/matrix.hpp"
 #include "yamlx/node.hpp"
@@ -20,6 +21,6 @@ namespace mcmm::yamlx {
 
 /// Convenience: full text round trip.
 [[nodiscard]] std::string matrix_to_yaml_text(const CompatibilityMatrix& m);
-[[nodiscard]] CompatibilityMatrix matrix_from_yaml_text(const std::string& s);
+[[nodiscard]] CompatibilityMatrix matrix_from_yaml_text(std::string_view s);
 
 }  // namespace mcmm::yamlx
