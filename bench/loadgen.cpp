@@ -688,7 +688,8 @@ int main(int argc, char** argv) {
   }
 
   // In-process targets. The forked cluster must exist before any thread
-  // does (gateway construction starts the health prober).
+  // does (the gateway's start() spawns its loop and workers; the health
+  // probes run on that loop).
   std::vector<mcmm::gateway::ReplicaProcess> replicas;
   std::unique_ptr<mcmm::gateway::Gateway> gateway;
   std::unique_ptr<mcmm::serve::Server> server;

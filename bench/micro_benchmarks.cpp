@@ -5,11 +5,14 @@
 //
 // The binary also carries the engine A/B harness: it re-runs the key
 // launch paths against an in-process replica of the seed execution engine
-// (bench/engine_baseline.hpp) and writes machine-readable speedup numbers
-// to BENCH_gpusim.json. Flags (stripped before google-benchmark sees
-// argv):
+// (bench/engine_baseline.hpp) and can write machine-readable speedup
+// numbers (the committed BENCH_gpusim.json is one such file). The exit code
+// reports engine identity whether or not a file is written. Flags
+// (stripped before google-benchmark sees argv):
 //
-//   --engine-json=PATH       output path (default: BENCH_gpusim.json)
+//   --engine-json=PATH       write the harness report to PATH (default:
+//                            no file; a plain run never overwrites the
+//                            committed BENCH_gpusim.json)
 //   --engine-triad-log2n=K   Triad problem size 2^K (default: 24)
 //   --engine-reps=R          repetitions per Triad measurement (default: 3)
 //   --engine-only            run only the A/B harness, skip google-benchmark
@@ -832,7 +835,7 @@ void run_multi_device_harness(EngineReport& rep) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_gpusim.json";
+  std::string json_path;  // empty: report nothing to disk
   int triad_log2n = 24;
   int triad_reps = 3;
   bool engine_only = false;
@@ -884,7 +887,7 @@ int main(int argc, char** argv) {
   run_pstlx_harness(report);
   run_graph_harness(report);
   run_multi_device_harness(report);
-  if (!write_engine_json(report, json_path)) return 1;
+  if (!json_path.empty() && !write_engine_json(report, json_path)) return 1;
   const bool all_identical = report.sim_time_identical &&
                              report.results_identical &&
                              report.psort_identical &&

@@ -1,8 +1,11 @@
 #include "gateway/gateway.hpp"
 
+#include <sys/epoll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 
 #include "core/json.hpp"
 
@@ -44,15 +47,32 @@ Gateway::Gateway(std::vector<ReplicaEndpoint> replicas, GatewayConfig config)
       balancer_(config_.policy, config_.balancer_seed),
       budget_(config_.retry_budget),
       metrics_(registry_.size()),
-      upstream_(registry_.size()) {
+      upstream_(registry_.size()),
+      probes_(registry_.size()) {
   metrics_.client.attach_loop(&loop_counters());
-  registry_.start_probing();
+  for (std::size_t i = 0; i < probes_.size(); ++i) {
+    ProbeLeg& p = probes_[i];
+    p.gw = this;
+    p.idx = i;
+    p.wire = "GET /healthz HTTP/1.1\r\nHost: " +
+             registry_.at(i).endpoint.host + "\r\nConnection: close\r\n\r\n";
+    p.timeout.on_fire = [this, &p] { probe_done(p); };
+  }
+  probe_round_.on_fire = [this] { probe_round(); };
+  // The first round goes out as soon as start() runs the loop.
+  loop().post([this] { probe_round(); });
 }
 
 Gateway::~Gateway() {
   shutdown();
-  join();  // the loop has exited: every ProxyTask is done, upstream_ is ours
-  registry_.stop_probing();
+  join();  // the loop has exited: every ProxyTask is done, upstream_ and
+           // probes_ are ours
+  serve::TimerWheel& wheel = loop().wheel();
+  wheel.cancel(probe_round_);
+  for (ProbeLeg& p : probes_) {
+    wheel.cancel(p.timeout);
+    if (p.fd >= 0) ::close(p.fd);
+  }
   for (UpstreamConns& u : upstream_) {
     for (const int fd : u.idle) ::close(fd);
     u.idle.clear();
@@ -108,6 +128,91 @@ void Gateway::resume_waiter(std::size_t i) {
     u.waiters.pop_front();
     leg->task->resume_leg(*leg);
   }
+}
+
+void Gateway::probe_round() {
+  serve::EventLoop& lp = loop();
+  for (ProbeLeg& p : probes_) {
+    if (p.fd >= 0) continue;  // still in flight, bounded by its own timeout
+    const ReplicaEndpoint& ep = registry_.at(p.idx).endpoint;
+    bool in_progress = false;
+    p.fd = dial_nonblocking(ep.host, ep.port, &in_progress);
+    if (p.fd < 0) {
+      registry_.record_probe(p.idx, false, 0, -1);
+      continue;
+    }
+    p.sent = 0;
+    p.parser = ResponseParser();
+    // EPOLLOUT fires once the connect has resolved, either way.
+    lp.add(p.fd, &p, EPOLLOUT);
+    lp.wheel().arm(p.timeout, lp.now_ms(), config_.registry.probe_timeout_ms);
+  }
+  lp.wheel().arm(probe_round_, lp.now_ms(),
+                 config_.registry.probe_interval_ms);
+}
+
+void Gateway::probe_io(ProbeLeg& p, std::uint32_t events) {
+  if (p.fd < 0) return;  // stale event of a probe finished in this batch
+  if (p.sent < p.wire.size()) {
+    if ((events & (EPOLLERR | EPOLLHUP)) != 0) {  // the connect failed
+      probe_done(p);
+      return;
+    }
+    const ssize_t n = ::send(p.fd, p.wire.data() + p.sent,
+                             p.wire.size() - p.sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      // Level-triggered EPOLLOUT stays armed for a retryable error.
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        probe_done(p);
+      }
+      return;
+    }
+    p.sent += static_cast<std::size_t>(n);
+    if (p.sent == p.wire.size()) {
+      loop().mod(p.fd, &p, EPOLLIN | EPOLLRDHUP);
+    }
+    return;
+  }
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(p.fd, buf, sizeof buf, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) break;  // EOF or error: the parser state decides
+    if (p.parser.feed(std::string_view(buf, static_cast<std::size_t>(n))) !=
+        ResponseParser::Status::NeedMore) {
+      break;
+    }
+  }
+  probe_done(p);
+}
+
+void Gateway::probe_done(ProbeLeg& p) {
+  serve::EventLoop& lp = loop();
+  lp.wheel().cancel(p.timeout);
+  lp.del(p.fd);
+  ::close(p.fd);
+  p.fd = -1;
+  // A non-200 answer (e.g. 503 while draining) is a failure. Only the
+  // top-level members of a well-formed document count; a body that does
+  // not parse is still a live replica, just one with no load or pid to
+  // report.
+  const bool ok = p.parser.status() == ResponseParser::Status::Complete &&
+                  p.parser.status_code() == 200;
+  std::uint64_t reported = 0;
+  long pid = -1;
+  if (ok) {
+    if (const auto doc = json_parse(p.parser.take_body())) {
+      const auto in_flight = doc->find_integer("in_flight");
+      if (in_flight && *in_flight >= 0) {
+        reported = static_cast<std::uint64_t>(*in_flight);
+      }
+      if (const auto reported_pid = doc->find_integer("pid")) {
+        pid = static_cast<long>(*reported_pid);
+      }
+    }
+  }
+  registry_.record_probe(p.idx, ok, reported, pid);
 }
 
 Response Gateway::handle_metrics(const Request& req) {

@@ -10,7 +10,10 @@
 // retry budget, transparent retries of idempotent requests, and optional
 // latency hedging for hot read paths. Responses are fully buffered in the
 // gateway, which is what makes retry and hedging safe: nothing is sent to
-// the client until one upstream has answered completely.
+// the client until one upstream has answered completely. Health probes are
+// loop-owned too: one ProbeLeg per replica GETs /healthz on a wheel timer,
+// so the constructor spawns no thread and start() adds only the loop
+// thread and the workers.
 
 #include <cstdint>
 #include <deque>
@@ -111,6 +114,23 @@ class Gateway : public serve::HttpListener {
     std::deque<ProxyLeg*> waiters;
   };
 
+  /// Loop-thread-only health probe of one replica: a `Connection: close`
+  /// GET /healthz on its own socket, outside the keep-alive pool and the
+  /// connection cap, bounded end to end by `timeout`. Its outcome goes to
+  /// ReplicaRegistry::record_probe(); breakers, in_flight and upstream
+  /// metrics are never touched.
+  struct ProbeLeg final : serve::EpollHandler {
+    Gateway* gw{nullptr};
+    std::size_t idx{0};  ///< replica index
+    int fd{-1};          ///< -1 while no probe is in flight
+    std::size_t sent{0};
+    std::string wire;
+    ResponseParser parser;
+    serve::Timer timeout;
+
+    void on_io(std::uint32_t events) override { gw->probe_io(*this, events); }
+  };
+
   static serve::ListenerConfig to_listener_config(
       const GatewayConfig& config);
 
@@ -136,6 +156,14 @@ class Gateway : public serve::HttpListener {
   /// leg. Loop thread only.
   void resume_waiter(std::size_t i);
 
+  /// Starts a probe on every replica that has none in flight and re-arms
+  /// the round timer. Loop thread only, like the two below.
+  void probe_round();
+  void probe_io(ProbeLeg& p, std::uint32_t events);
+  /// Closes the probe socket and records the outcome: success means a
+  /// complete 200 answer.
+  void probe_done(ProbeLeg& p);
+
   Response handle_metrics(const Request& req);
   Response handle_gateway_healthz();
   Response handle_gateway_replicas();
@@ -146,6 +174,8 @@ class Gateway : public serve::HttpListener {
   RetryBudget budget_;
   GatewayMetrics metrics_;
   std::vector<UpstreamConns> upstream_;  ///< loop-thread-only
+  std::vector<ProbeLeg> probes_;         ///< loop-thread-only
+  serve::Timer probe_round_;
 };
 
 }  // namespace mcmm::gateway

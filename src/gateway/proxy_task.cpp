@@ -6,8 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 
 #include "gateway/gateway.hpp"
 
@@ -250,15 +248,6 @@ void ProxyTask::leg_failed(ProxyLeg& leg) {
   const std::int64_t now = serve::EventLoop::steady_ms();
   const bool replay = leg.from_pool && !leg.parser.saw_bytes() &&
                       !leg.replayed && !leg.no_replay;
-  if (std::getenv("MCMM_GW_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "leg_failed slot=%zu idx=%zu phase=%d errno=%d pooled=%d "
-                 "saw=%d replayed=%d sent=%zu age=%lldms\n",
-                 leg.slot, leg.idx, static_cast<int>(leg.phase), errno,
-                 leg.from_pool ? 1 : 0, leg.parser.saw_bytes() ? 1 : 0,
-                 leg.replayed ? 1 : 0, leg.sent,
-                 static_cast<long long>(now - leg.start_ms));
-  }
   drop_socket(leg);
   if (leg.counted) {
     gw_.registry_.at(leg.idx).in_flight.fetch_sub(1,

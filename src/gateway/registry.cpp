@@ -1,14 +1,5 @@
 #include "gateway/registry.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-
-#include "core/json.hpp"
-
 namespace mcmm::gateway {
 
 const char* to_string(ReplicaHealth health) noexcept {
@@ -32,8 +23,6 @@ ReplicaRegistry::ReplicaRegistry(std::vector<ReplicaEndpoint> endpoints,
         std::make_unique<Replica>(std::move(ep), config_.breaker));
   }
 }
-
-ReplicaRegistry::~ReplicaRegistry() { stop_probing(); }
 
 void ReplicaRegistry::record_probe(std::size_t i, bool success,
                                    std::uint64_t reported_in_flight,
@@ -100,107 +89,6 @@ std::size_t ReplicaRegistry::healthy_count() const noexcept {
     }
   }
   return n;
-}
-
-void ReplicaRegistry::start_probing() {
-  {
-    std::lock_guard<std::mutex> lock(probe_mu_);
-    probe_stop_ = false;
-  }
-  prober_ = std::thread([this] { probe_loop(); });
-}
-
-void ReplicaRegistry::stop_probing() {
-  {
-    std::lock_guard<std::mutex> lock(probe_mu_);
-    probe_stop_ = true;
-  }
-  probe_cv_.notify_all();
-  if (prober_.joinable()) prober_.join();
-}
-
-void ReplicaRegistry::probe_loop() {
-  for (;;) {
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      std::uint64_t reported = 0;
-      long pid = -1;
-      const bool ok = probe_once(i, &reported, &pid);
-      record_probe(i, ok, reported, pid);
-    }
-    std::unique_lock<std::mutex> lock(probe_mu_);
-    probe_cv_.wait_for(lock,
-                       std::chrono::milliseconds(config_.probe_interval_ms),
-                       [this] { return probe_stop_; });
-    if (probe_stop_) return;
-  }
-}
-
-bool ReplicaRegistry::probe_once(std::size_t i, std::uint64_t* reported,
-                                 long* pid) {
-  const Replica& r = at(i);
-  const int fd = connect_with_timeout(r.endpoint.host, r.endpoint.port,
-                                      config_.probe_timeout_ms);
-  if (fd < 0) return false;
-  const std::string request =
-      "GET /healthz HTTP/1.1\r\nHost: " + r.endpoint.host +
-      "\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-
-  ResponseParser parser;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.probe_timeout_ms);
-  char buf[4096];
-  while (parser.status() == ResponseParser::Status::NeedMore) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) {
-      ::close(fd);
-      return false;
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left));
-    if (pr < 0 && errno == EINTR) continue;
-    if (pr <= 0) {
-      ::close(fd);
-      return false;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF: let the parser state decide
-    parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-  }
-  ::close(fd);
-  if (parser.status() != ResponseParser::Status::Complete ||
-      parser.status_code() != 200) {
-    return false;
-  }
-  // Only the top-level members of a well-formed document count; a body
-  // that does not parse is still a live replica, just one with no load
-  // or pid to report.
-  if (const auto doc = json_parse(parser.take_body())) {
-    const auto in_flight = doc->find_integer("in_flight");
-    if (in_flight && *in_flight >= 0) {
-      *reported = static_cast<std::uint64_t>(*in_flight);
-    }
-    if (const auto reported_pid = doc->find_integer("pid")) {
-      *pid = static_cast<long>(*reported_pid);
-    }
-  }
-  return true;
 }
 
 }  // namespace mcmm::gateway

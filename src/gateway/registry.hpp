@@ -1,22 +1,18 @@
 #pragma once
-// The gateway's view of the replica fleet: per-replica health + load state
-// plus a background prober that GETs each replica's /healthz. Health
-// transitions (eject after N consecutive probe failures, readmit through a
-// half-open probation after M successes) are pure functions of probe
-// outcomes — record_probe() — so tests drive the state machine without a
-// prober thread or sockets.
+// The gateway's view of the replica fleet: per-replica health + load state.
+// The registry is pure state: the gateway's event loop GETs each replica's
+// /healthz and feeds every outcome to record_probe(). Health transitions
+// (eject after N consecutive probe failures, readmit through a half-open
+// probation after M successes) are pure functions of those outcomes, so
+// tests drive the state machine without a loop or sockets.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gateway/breaker.hpp"
-#include "gateway/upstream.hpp"
 
 namespace mcmm::gateway {
 
@@ -31,7 +27,7 @@ enum class ReplicaHealth : std::uint8_t { Healthy, Ejected, HalfOpen };
 
 /// One upstream replica. The hot-path fields (in-flight counts, health)
 /// are atomics read by the balancer on every pick; probe bookkeeping is
-/// only touched by the prober thread.
+/// only touched by the gateway's loop thread.
 struct Replica {
   explicit Replica(ReplicaEndpoint ep, BreakerConfig breaker_config)
       : endpoint(std::move(ep)), breaker(breaker_config) {}
@@ -49,7 +45,7 @@ struct Replica {
   std::atomic<long> pid{-1};
   std::atomic<ReplicaHealth> health{ReplicaHealth::Healthy};
 
-  // Prober-thread-only state (no concurrent access).
+  // Loop-thread-only state (no concurrent access).
   int probe_failures{0};
   int probe_successes{0};
 
@@ -71,12 +67,11 @@ struct RegistryConfig {
 };
 
 /// Fixed-membership registry (replica set is decided at startup; health is
-/// dynamic). Owns the prober thread.
+/// dynamic). Owns no thread and no socket.
 class ReplicaRegistry {
  public:
   ReplicaRegistry(std::vector<ReplicaEndpoint> endpoints,
                   RegistryConfig config = {});
-  ~ReplicaRegistry();
 
   ReplicaRegistry(const ReplicaRegistry&) = delete;
   ReplicaRegistry& operator=(const ReplicaRegistry&) = delete;
@@ -92,7 +87,8 @@ class ReplicaRegistry {
   ///   Ejected  --any success-->                       HalfOpen
   ///   HalfOpen --readmit_after consecutive successes--> Healthy
   ///   HalfOpen --any failure-->                       Ejected
-  /// On success also refreshes reported_in_flight and pid.
+  /// On success also refreshes reported_in_flight and pid. Loop thread
+  /// only, like every other upstream state in the gateway.
   void record_probe(std::size_t i, bool success,
                     std::uint64_t reported_in_flight, long pid);
 
@@ -103,27 +99,14 @@ class ReplicaRegistry {
     return ejections_total_.load(std::memory_order_relaxed);
   }
 
-  void start_probing();
-  void stop_probing();
-
   [[nodiscard]] const RegistryConfig& config() const noexcept {
     return config_;
   }
 
  private:
-  void probe_loop();
-  /// One HTTP GET /healthz against replica `i`; fills the outputs on
-  /// success. A non-200 answer (e.g. 503 while draining) is a failure.
-  bool probe_once(std::size_t i, std::uint64_t* reported, long* pid);
-
   RegistryConfig config_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::atomic<std::uint64_t> ejections_total_{0};
-
-  std::mutex probe_mu_;
-  std::condition_variable probe_cv_;
-  bool probe_stop_{false};
-  std::thread prober_;
 };
 
 }  // namespace mcmm::gateway

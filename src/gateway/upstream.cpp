@@ -1,17 +1,13 @@
 #include "gateway/upstream.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
 namespace mcmm::gateway {
 namespace {
@@ -36,47 +32,6 @@ std::string_view trim(std::string_view s) {
 
 }  // namespace
 
-int connect_with_timeout(const std::string& host, std::uint16_t port,
-                         int timeout_ms) noexcept {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return -1;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    return -1;
-  }
-  if (rc != 0) {
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    do {
-      rc = ::poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : 1);
-    } while (rc < 0 && errno == EINTR);
-    if (rc <= 0) {
-      ::close(fd);
-      return -1;
-    }
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);  // back to blocking; callers poll themselves
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
 int dial_nonblocking(const std::string& host, std::uint16_t port,
                      bool* in_progress) noexcept {
   *in_progress = false;
@@ -88,11 +43,8 @@ int dial_nonblocking(const std::string& host, std::uint16_t port,
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
-  static const bool nodelay = std::getenv("MCMM_NO_NODELAY") == nullptr;
-  if (nodelay) {
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  }
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   const int rc =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   if (rc != 0) {

@@ -1,6 +1,7 @@
 #pragma once
-// Upstream-side plumbing for the mcmm gateway: bounded-time connects, an
-// incremental HTTP/1.1 *response* parser (the mirror of serve's hardened
+// Upstream-side plumbing for the mcmm gateway: the one non-blocking dialler
+// that proxy legs and health probes share on the gateway's event loop, and
+// an incremental HTTP/1.1 *response* parser (the mirror of serve's hardened
 // request parser, socket-free for the same testability reasons).
 
 #include <cstdint>
@@ -11,18 +12,11 @@
 
 namespace mcmm::gateway {
 
-/// Connects to host:port within `timeout_ms` (non-blocking connect +
-/// poll), returning a blocking fd with TCP_NODELAY, or -1 on failure.
-/// Used by the registry prober, which runs on its own thread and may block.
-[[nodiscard]] int connect_with_timeout(const std::string& host,
-                                       std::uint16_t port,
-                                       int timeout_ms) noexcept;
-
 /// Starts a non-blocking connect for the readiness loop: returns a
-/// SOCK_NONBLOCK|SOCK_CLOEXEC fd with TCP_NODELAY (unless MCMM_NO_NODELAY
-/// is set), or -1 on immediate failure. `*in_progress` is true when the
-/// handshake is still pending — the caller must wait for EPOLLOUT and
-/// check SO_ERROR before writing.
+/// SOCK_NONBLOCK|SOCK_CLOEXEC fd with TCP_NODELAY, or -1 on immediate
+/// failure. `*in_progress` is true when the handshake is still pending —
+/// the caller must wait for EPOLLOUT and check for a connect error before
+/// relying on the socket.
 [[nodiscard]] int dial_nonblocking(const std::string& host,
                                    std::uint16_t port,
                                    bool* in_progress) noexcept;

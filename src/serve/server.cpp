@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -322,7 +321,6 @@ void HttpListener::resume_accept() noexcept {
 }
 
 void HttpListener::accept_ready() {
-  static const bool nodelay = std::getenv("MCMM_NO_NODELAY") == nullptr;
   for (int i = 0; i < kAcceptBatch; ++i) {
     if (conn_count_ >= max_connections_) {
       pause_accept();
@@ -344,10 +342,8 @@ void HttpListener::accept_ready() {
       ::close(fd);
       continue;
     }
-    if (nodelay) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    }
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     counters_.accepts_total.fetch_add(1, std::memory_order_relaxed);
     counters_.open_connections.fetch_add(1, std::memory_order_relaxed);
     auto* c = new Connection(this, fd, config_.limits);

@@ -214,6 +214,13 @@ class Parser {
       }
       const std::string_view rest =
           std::string_view(item.content).substr(2);
+      if (rest.rfind("- ", 0) == 0 || rest == "-") {
+        // "- - a" starts a compact nested sequence whose items sit at the
+        // column of `rest`.
+        lines_[pos_] = Line{indent + 2, std::string(rest), item.number};
+        seq.push_back(parse_sequence(indent + 2));
+        continue;
+      }
       const std::size_t sep = find_key_separator(rest);
       if (sep != std::string_view::npos) {
         // "- key: value" starts an inline mapping whose keys sit at the

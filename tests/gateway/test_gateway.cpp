@@ -6,10 +6,14 @@
 // upstream), and graceful drain.
 #include "gateway/gateway.hpp"
 
+#include <arpa/inet.h>
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -66,6 +70,28 @@ class GatewayTest : public ::testing::Test {
     gateway_ = std::make_unique<Gateway>(std::move(endpoints),
                                          std::move(config));
     gateway_->start();
+    await_first_probes();
+  }
+
+  /// Returns once the gateway has probed every replica and every replica
+  /// has finished answering: a /healthz still in flight counts against a
+  /// replica's max_in_flight and would shed the test's own request.
+  void await_first_probes() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    const auto settled = [this] {
+      for (std::size_t i = 0; i < servers_.size(); ++i) {
+        if (gateway_->registry().at(i).pid.load() <= 0 ||
+            servers_[i]->metrics().in_flight() != 0) {
+          return false;
+        }
+      }
+      return true;
+    };
+    while (!settled() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(settled()) << "replicas were not probed within 5 s";
   }
 
   void TearDown() override {
@@ -279,6 +305,9 @@ TEST_F(GatewayTest, OverloadedReplicaIsRetriedOnAnother) {
   GatewayConfig config;
   config.policy = Policy::RoundRobin;  // first pick is replica 0
   config.registry.probe_interval_ms = 60000;  // keep probes off the gauge
+  // On a loaded host replica 0's 503 can take longer than the hedge delay;
+  // the hedge would then win on replica 1 before any retry was made.
+  config.hedge_after_ms = 0;
   start_cluster(2, config, /*max_in_flight=*/1);
 
   // Pin replica 0's in-flight gauge: its next real request sees gauge 2 > 1
@@ -478,6 +507,115 @@ TEST(GatewayEventDriven, SlowUpstreamsDoNotBlockGatewayThreads) {
       << "requests were serialized behind blocked gateway workers";
   EXPECT_LE(during, baseline + kClients)
       << "the gateway grew threads to wait on upstreams";
+}
+
+TEST(GatewayEventDriven, StartedGatewayAddsOnlyTheLoopAndItsWorkers) {
+  // Health probes ride the event loop: constructing a gateway spawns no
+  // thread, and start() adds exactly the loop thread and the workers.
+  FakeUpstream replica("r", 0);
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 2;
+  config.registry.probe_interval_ms = 10;
+  std::vector<ReplicaEndpoint> endpoints(1);
+  endpoints[0].port = replica.port();
+
+  const std::size_t baseline = task_count();
+  Gateway gateway(std::move(endpoints), config);
+  EXPECT_EQ(task_count(), baseline) << "the constructor spawned a thread";
+  gateway.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gateway.registry().at(0).pid.load() <= 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(gateway.registry().at(0).pid.load(), 0);
+  EXPECT_EQ(task_count(), baseline + 3) << "loop + 2 workers, nothing else";
+}
+
+/// A replica that accepts TCP handshakes into its listen backlog but never
+/// accepts or reads: every probe against it can only time out.
+class SilentListener {
+ public:
+  SilentListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+    ::listen(fd_, 16);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~SilentListener() { ::close(fd_); }
+  SilentListener(const SilentListener&) = delete;
+  SilentListener& operator=(const SilentListener&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+ private:
+  int fd_{-1};
+  std::uint16_t port_{0};
+};
+
+TEST(GatewayProbes, UnresponsiveReplicaIsEjectedWhileTrafficFlows) {
+  SilentListener silent;
+  FakeUpstream healthy("ok", 0);
+
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 2;
+  config.hedge_after_ms = 0;
+  config.registry.probe_interval_ms = 20;
+  config.registry.probe_timeout_ms = 150;
+  config.registry.eject_after = 3;
+  // Keep proxied traffic off the silent replica: its breaker is held open,
+  // and probes never consult breakers.
+  config.registry.breaker.failure_threshold = 1;
+  config.registry.breaker.open_cooldown_ms = 60000;
+  std::vector<ReplicaEndpoint> endpoints(2);
+  endpoints[0].port = silent.port();
+  endpoints[1].port = healthy.port();
+  Gateway gateway(std::move(endpoints), config);
+  gateway.registry().at(0).breaker.record_failure(
+      mcmm::gateway::steady_now_ms());
+  const auto start = std::chrono::steady_clock::now();
+  gateway.start();
+
+  // While the probes of the silent replica hang, every proxied request is
+  // answered promptly: a probe never blocks the loop.
+  TestClient client(gateway.port());
+  std::int64_t slowest_ms = 0;
+  int answered = 0;
+  const auto deadline = start + std::chrono::seconds(5);
+  while (gateway.registry().at(0).health.load() != ReplicaHealth::Ejected &&
+         std::chrono::steady_clock::now() < deadline) {
+    const auto sent = std::chrono::steady_clock::now();
+    const auto reply = client.get("/v1/matrix");
+    const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - sent)
+                          .count();
+    EXPECT_EQ(reply.status, 200);
+    EXPECT_EQ(reply.body, "ok");
+    slowest_ms = std::max<std::int64_t>(slowest_ms, took);
+    ++answered;
+  }
+  const auto ejected_after =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+
+  ASSERT_EQ(gateway.registry().at(0).health.load(), ReplicaHealth::Ejected);
+  EXPECT_EQ(gateway.registry().at(1).health.load(), ReplicaHealth::Healthy);
+  EXPECT_EQ(gateway.registry().ejections_total(), 1u);
+  // Three timeouts in a row, each at most one wheel tick early.
+  EXPECT_GE(ejected_after, 3 * (150 - mcmm::serve::TimerWheel::kTickMs));
+  EXPECT_GT(answered, 0);
+  EXPECT_LT(slowest_ms, 100) << "a proxied request waited on a probe";
+  EXPECT_EQ(healthy.hits(), static_cast<std::uint64_t>(answered));
 }
 
 TEST(GatewayHedging, SlowPrimaryIsHedgedAndTheFastReplicaWins) {

@@ -1,7 +1,8 @@
 // Replica-registry health tests. The eject/readmit state machine is a pure
-// function of probe outcomes (record_probe), so most tests run without a
-// prober thread; integration tests drive the real prober against a live
-// serve::Server and against stand-ins that answer fixed /healthz bodies.
+// function of probe outcomes (record_probe), so most tests run without any
+// sockets; integration tests drive the probes of a started Gateway (they run
+// on its event loop) against a live serve::Server and against stand-ins that
+// answer fixed /healthz bodies.
 #include "gateway/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,17 +16,20 @@
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "gateway/gateway.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
+using mcmm::gateway::Gateway;
+using mcmm::gateway::GatewayConfig;
 using mcmm::gateway::RegistryConfig;
 using mcmm::gateway::ReplicaEndpoint;
 using mcmm::gateway::ReplicaHealth;
 using mcmm::gateway::ReplicaRegistry;
 
 RegistryConfig no_probing() {
-  RegistryConfig config;  // start_probing() is simply never called
+  RegistryConfig config;  // a bare registry never probes
   config.eject_after = 3;
   config.readmit_after = 2;
   return config;
@@ -120,15 +124,18 @@ TEST(ReplicaRegistry, LiveProberTracksAServer) {
       mcmm::data::paper_matrix(), server_config);
   server->start();
 
-  RegistryConfig config;
-  config.probe_interval_ms = 25;
-  config.probe_timeout_ms = 250;
-  config.eject_after = 2;
-  config.readmit_after = 1;
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 1;
+  config.registry.probe_interval_ms = 25;
+  config.registry.probe_timeout_ms = 250;
+  config.registry.eject_after = 2;
+  config.registry.readmit_after = 1;
   std::vector<ReplicaEndpoint> eps(1);
   eps[0].port = server->port();
-  ReplicaRegistry registry(std::move(eps), config);
-  registry.start_probing();
+  Gateway gateway(std::move(eps), config);
+  gateway.start();
+  const ReplicaRegistry& registry = gateway.registry();
 
   // The prober should discover the replica's pid (our own, in-process).
   const auto deadline =
@@ -148,7 +155,6 @@ TEST(ReplicaRegistry, LiveProberTracksAServer) {
   }
   EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Ejected);
   EXPECT_EQ(registry.healthy_count(), 0u);
-  registry.stop_probing();
 }
 
 /// A replica stand-in whose /healthz always answers 200 with `body`.
@@ -188,26 +194,29 @@ class FixedHealthReplica : public mcmm::serve::HttpListener {
   std::atomic<std::uint64_t> probes_{0};
 };
 
-/// Runs the prober until `replica` has answered twice; stop_probing()
-/// joins the prober, so both answers are recorded when it returns.
-std::unique_ptr<ReplicaRegistry> probe_twice(
-    const FixedHealthReplica& replica) {
-  RegistryConfig config;
-  config.probe_interval_ms = 10;
-  config.probe_timeout_ms = 250;
+/// Probes `replica` from a gateway until it has answered twice, then stops
+/// the gateway. A probe starts only after the previous one was recorded,
+/// so the first answer is in the registry, and join() makes it visible.
+std::unique_ptr<Gateway> probe_twice(const FixedHealthReplica& replica) {
+  GatewayConfig config;
+  config.port = 0;
+  config.threads = 1;
+  config.registry.probe_interval_ms = 10;
+  config.registry.probe_timeout_ms = 250;
   std::vector<ReplicaEndpoint> eps(1);
   eps[0].port = replica.port();
-  auto registry = std::make_unique<ReplicaRegistry>(std::move(eps), config);
-  registry->start_probing();
+  auto gateway = std::make_unique<Gateway>(std::move(eps), config);
+  gateway->start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (replica.probes() < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  registry->stop_probing();
+  gateway->shutdown();
+  gateway->join();
   EXPECT_GE(replica.probes(), 2u);
-  return registry;
+  return gateway;
 }
 
 TEST(ReplicaRegistry, HarvestsOnlyTopLevelHealthMembers) {
@@ -215,20 +224,22 @@ TEST(ReplicaRegistry, HarvestsOnlyTopLevelHealthMembers) {
   // replica's load.
   const FixedHealthReplica replica(
       R"({"note":{"in_flight":99},"pid":7,"in_flight":3})");
-  const auto registry = probe_twice(replica);
-  EXPECT_EQ(registry->at(0).reported_in_flight.load(), 3u);
-  EXPECT_EQ(registry->at(0).pid.load(), 7);
-  EXPECT_EQ(registry->at(0).health.load(), ReplicaHealth::Healthy);
+  const auto gateway = probe_twice(replica);
+  const ReplicaRegistry& registry = gateway->registry();
+  EXPECT_EQ(registry.at(0).reported_in_flight.load(), 3u);
+  EXPECT_EQ(registry.at(0).pid.load(), 7);
+  EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Healthy);
 }
 
 TEST(ReplicaRegistry, NonJsonHealthBodyHarvestsNothing) {
   // The replica answered 200, so it is alive, but a body that is not a
   // JSON document reports no load and no pid.
   const FixedHealthReplica replica(R"("in_flight":5 trailing)");
-  const auto registry = probe_twice(replica);
-  EXPECT_EQ(registry->at(0).reported_in_flight.load(), 0u);
-  EXPECT_EQ(registry->at(0).pid.load(), -1);
-  EXPECT_EQ(registry->at(0).health.load(), ReplicaHealth::Healthy);
+  const auto gateway = probe_twice(replica);
+  const ReplicaRegistry& registry = gateway->registry();
+  EXPECT_EQ(registry.at(0).reported_in_flight.load(), 0u);
+  EXPECT_EQ(registry.at(0).pid.load(), -1);
+  EXPECT_EQ(registry.at(0).health.load(), ReplicaHealth::Healthy);
 }
 
 TEST(ReplicaHealthNames, ToString) {

@@ -62,6 +62,26 @@ TEST(Parse, SequenceAtKeyIndentation) {
   EXPECT_EQ(n.at("flags").as_sequence()[0].as_string(), "-O2");
 }
 
+TEST(Parse, CompactNestedSequence) {
+  // "- - a" is a sequence whose first item is itself a sequence; further
+  // items of the inner sequence continue at the column of its first "-".
+  const Node one = parse("- - a\n");
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_EQ(one.as_sequence()[0].size(), 1u);
+  EXPECT_EQ(one.as_sequence()[0].as_sequence()[0].as_string(), "a");
+
+  const Node two = parse(
+      "- - a\n"
+      "  - b\n"
+      "- c\n");
+  ASSERT_EQ(two.size(), 2u);
+  const auto& inner = two.as_sequence()[0].as_sequence();
+  ASSERT_EQ(inner.size(), 2u);
+  EXPECT_EQ(inner[0].as_string(), "a");
+  EXPECT_EQ(inner[1].as_string(), "b");
+  EXPECT_EQ(two.as_sequence()[1].as_string(), "c");
+}
+
 TEST(Parse, CommentsAndBlankLines) {
   const Node n = parse(
       "# full-line comment\n"

@@ -1243,8 +1243,9 @@ int cmd_cluster(const std::vector<std::string>& args) {
   cfg.log_fd_limit = true;
   sup.host = "127.0.0.1";
   try {
-    // fork() before any thread exists (the gateway constructor spawns the
-    // health prober, start() the worker pool).
+    // fork() before any thread exists (the gateway constructor spawns no
+    // thread; start() spawns the event loop, which also runs the health
+    // probes, and the worker pool).
     std::vector<gateway::ReplicaProcess> replicas =
         gateway::spawn_replicas(static_cast<unsigned>(count), sup);
     std::vector<gateway::ReplicaEndpoint> backends;
